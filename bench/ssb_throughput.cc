@@ -46,7 +46,6 @@
 #include "perf/pmu_sampler.h"
 #include "ssb/chunked_fact.h"
 #include "ssb/database.h"
-#include "storage/encoding.h"
 #include "telemetry/bench_report.h"
 #include "telemetry/diagnostics.h"
 #include "telemetry/flight_recorder.h"
@@ -237,22 +236,19 @@ int Main(int argc, char** argv) {
   HEF_CHECK_MSG(!mix.empty(), "empty query mix");
 
   const std::string encoding = flags.GetString("encoding");
-  const bool chunked = encoding != "flat";
   const bool pruning = flags.GetBool("pruning");
   const bool drop_flat = flags.GetBool("drop_flat");
-  storage::EncodingPolicy policy = storage::EncodingPolicy::kAuto;
-  if (chunked &&
-      !storage::EncodingPolicyByName(encoding.c_str(), &policy)) {
-    std::fprintf(stderr,
-                 "--encoding=%s: want flat | auto | plain | dict | for\n",
-                 encoding.c_str());
-    return 1;
-  }
-  if ((pruning || drop_flat) && !chunked) {
+  if ((pruning || drop_flat) && encoding == "flat") {
     std::fprintf(stderr,
                  "--pruning / --drop_flat require a chunked --encoding\n");
     return 1;
   }
+  const auto storage = ResolveStorageFlags(encoding, pruning);
+  if (!storage.ok()) {
+    std::fprintf(stderr, "%s\n", storage.status().message().c_str());
+    return 1;
+  }
+  const bool chunked = storage.value().chunked;
   if (chunked && flags.GetString("flavor") == "voila") {
     std::fprintf(stderr, "--encoding: the voila flavor scans flat only\n");
     return 1;
@@ -315,10 +311,8 @@ int Main(int argc, char** argv) {
   ssb::SsbDatabase db = ssb::SsbDatabase::Generate(sf);
   double compression = 0.0;
   if (chunked) {
-    ssb::ChunkedFactOptions chunk_options;
-    chunk_options.policy = policy;
     Stopwatch encode_sw;
-    ssb::EnsureChunked(db, chunk_options);
+    storage.value().EnsureStorage(db);
     const std::size_t encoded = db.chunked->EncodedBytes();
     const std::size_t plain = db.chunked->PlainBytes();
     compression = static_cast<double>(plain) / static_cast<double>(encoded);
@@ -356,8 +350,7 @@ int Main(int argc, char** argv) {
     config.flavor = flavor.value();
     config.threads = threads.value();
     config.collect_stats = flags.GetBool("stats");
-    config.chunked_scan = chunked;
-    config.scan_pruning = pruning;
+    storage.value().ApplyTo(&config);
     hef_engine = std::make_unique<SsbEngine>(db, config);
   }
   auto run = [&](QueryId id) {

@@ -1,7 +1,6 @@
 #include "engine/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <vector>
 
 #include "common/aligned_buffer.h"
@@ -9,20 +8,16 @@
 #include "common/stopwatch.h"
 #include "engine/explain.h"
 #include "engine/primitives.h"
+#include "engine/query_shell.h"
 #include "engine/scan.h"
 #include "engine/star_plan.h"
 #include "exec/fault_injection.h"
-#include "exec/plan_cache.h"
-#include "exec/runtime.h"
-#include "exec/task_pool.h"
 #include "perf/drift_monitor.h"
 #include "perf/perf_counters.h"
 #include "ssb/chunked_fact.h"
 #include "storage/decode.h"
 #include "table/bloom_filter.h"
-#include "table/group_agg.h"
 #include "table/probe.h"
-#include "telemetry/diagnostics.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
 
@@ -69,53 +64,25 @@ struct SsbEngine::Impl {
   // Buffers for the single-threaded path, built once per engine.
   Buffers main_buffers;
 
-  // One operator's accumulated statistics within a worker (merged across
-  // workers into QueryResult::operator_stats). Plain integers: each worker
-  // owns its own vector, so the hot-loop bumps need no atomics.
-  struct OpAcc {
-    std::uint64_t nanos = 0;
-    std::uint64_t calls = 0;
-    std::uint64_t rows_in = 0;
-    std::uint64_t rows_out = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t cycles = 0;
-    std::uint64_t llc_misses = 0;
-    bool pmu_valid = false;
-    bool pmu_scaled = false;
-
-    void Merge(const OpAcc& o) {
-      nanos += o.nanos;
-      calls += o.calls;
-      rows_in += o.rows_in;
-      rows_out += o.rows_out;
-      instructions += o.instructions;
-      cycles += o.cycles;
-      llc_misses += o.llc_misses;
-      pmu_valid = pmu_valid || o.pmu_valid;
-      pmu_scaled = pmu_scaled || o.pmu_scaled;
-    }
-  };
-
-  // One fully-built query: the bound plan plus its Bloom filters (which
-  // share the plan's lifetime so cache hits skip BuildBlooms too).
-  struct PlanEntry {
-    BoundPlan bound;
+  // Per-plan extras beside the bound plan: the Bloom filters, and the
+  // chunk-pruning verdicts (empty unless chunked_scan && scan_pruning).
+  // Both are fixed per query, so cache hits skip building them too.
+  struct Extras {
     std::vector<std::unique_ptr<BloomFilter>> blooms;
     std::uint64_t bloom_nanos = 0;
-    // Chunk-pruning verdicts (empty unless chunked_scan && scan_pruning).
-    // Shares the plan's lifetime: chunk statistics and predicate ranges
-    // are both fixed per query, so cache hits skip the pass too.
     ChunkPruning pruning;
   };
+  using Entry = PlanEntry<Extras>;
 
-  // Built plans keyed by query, reused across Run() calls while
-  // config.plan_cache is on.
-  exec::PlanCache<QueryId, PlanEntry> plan_cache{"engine.plan_cache"};
+  QueryShell<Extras> shell;
 
   Impl(const ssb::SsbDatabase& database, EngineConfig cfg)
       : db(database),
         config(cfg),
-        main_buffers(static_cast<std::size_t>(cfg.block_size)) {
+        main_buffers(static_cast<std::size_t>(cfg.block_size)),
+        shell(database, "engine.build",
+              ShellOptions{cfg.threads, cfg.plan_cache, cfg.collect_stats,
+                           cfg.collect_pmu}) {
     HEF_CHECK_MSG(config.block_size >= 64, "block size %d too small",
                   config.block_size);
     HEF_CHECK_MSG(config.threads >= 0 && config.threads <= 256,
@@ -131,101 +98,56 @@ struct SsbEngine::Impl {
     }
   }
 
-  // Builds one query's plan + blooms. With multiple workers configured,
-  // the dimension hash tables build through the partitioned InsertBatch
-  // path on the persistent pool; layout and plan are identical either way.
-  PlanEntry BuildEntry(QueryId id) {
-    PlanEntry entry;
-    {
-      HEF_TRACE_SPAN("engine.build");
-      PlanBuildOptions options;
-      const int workers = exec::ResolveThreads(config.threads);
-      if (workers > 1) {
-        options.parallel_for = [workers](
-                                   int parts,
-                                   const std::function<void(int)>& fn) {
-          const int w = workers < parts ? workers : parts;
-          std::atomic<int> next{0};
-          exec::TaskPool::Get().Run(w, [&](int) {
-            int p;
-            while ((p = next.fetch_add(1)) < parts) fn(p);
-          });
-        };
-      }
-      entry.bound = BuildQueryPlan(db, id, options);
-    }
+  // Builds one Bloom filter per join stage from the dimension tables' key
+  // slabs (with bloom_prefilter) and the chunk-pruning verdicts (with
+  // chunked_scan && scan_pruning).
+  Extras BuildExtras(const BoundPlan& bound, QueryId id) const {
+    Extras extras;
     {
       HEF_TRACE_SPAN("engine.bloom_build");
       const std::uint64_t t0 = MonotonicNanos();
-      entry.blooms = BuildBlooms(entry.bound.plan);
-      if (!entry.blooms.empty()) entry.bloom_nanos = MonotonicNanos() - t0;
+      for (const JoinStage& j : bound.plan.joins) {
+        if (!config.bloom_prefilter) break;
+        auto bloom = std::make_unique<BloomFilter>(j.table->size());
+        for (std::size_t slot = 0; slot < j.table->capacity(); ++slot) {
+          const std::uint64_t key = j.table->keys()[slot];
+          if (key != kEmptyKey) bloom->Insert(key);
+        }
+        extras.blooms.push_back(std::move(bloom));
+      }
+      if (!extras.blooms.empty()) extras.bloom_nanos = MonotonicNanos() - t0;
     }
     if (config.chunked_scan && config.scan_pruning &&
         db.chunked != nullptr) {
       HEF_TRACE_SPAN("engine.prune");
-      entry.pruning = ComputeChunkPruning(db, entry.bound.plan,
-                                          QueryName(id));
+      extras.pruning = ComputeChunkPruning(db, bound.plan, QueryName(id));
     }
-    return entry;
-  }
-
-  // The fallible build used by the serving path: rejects an already-
-  // stopped context before doing any work, exposes the "engine.build"
-  // fault site, and converts build-time exceptions (including injected
-  // ones surfacing from pool workers) to Status::Internal.
-  Result<PlanEntry> TryBuildEntry(QueryId id,
-                                  const exec::QueryContext& ctx) {
-    HEF_RETURN_NOT_OK(ctx.Check());
-    HEF_FAULT_POINT_STATUS("engine.build");
-    try {
-      return BuildEntry(id);
-    } catch (const std::exception& e) {
-      return Status::Internal(std::string("plan build failed for ") +
-                              QueryName(id) + ": " + e.what());
-    }
-  }
-
-  // Builds one Bloom filter per join stage from the dimension tables'
-  // key slabs (only when bloom_prefilter is enabled).
-  std::vector<std::unique_ptr<BloomFilter>> BuildBlooms(
-      const StarPlan& plan) const {
-    std::vector<std::unique_ptr<BloomFilter>> blooms;
-    if (!config.bloom_prefilter) return blooms;
-    for (const JoinStage& j : plan.joins) {
-      auto bloom = std::make_unique<BloomFilter>(j.table->size());
-      for (std::size_t slot = 0; slot < j.table->capacity(); ++slot) {
-        const std::uint64_t key = j.table->keys()[slot];
-        if (key != kEmptyKey) bloom->Insert(key);
-      }
-      blooms.push_back(std::move(bloom));
-    }
-    return blooms;
+    return extras;
   }
 
   // Runs the pipeline over fact rows [row_begin, row_end), accumulating
-  // into the caller's agg/cnt arrays (sized plan.gid_domain).
+  // into `acc` (group sums sized plan.gid_domain).
   //
-  // When `accs` is non-null, per-operator wall time / row counts are
+  // When acc.ops is non-empty, per-operator wall time / row counts are
   // accumulated into it (layout: filters, then probes, then group-by); a
   // non-null `pmu` additionally brackets every operator with group reads
-  // so counter deltas attribute to operators. Both null on the default
+  // so counter deltas attribute to operators. Both off on the default
   // path, which then pays nothing beyond a branch per operator per block.
   void ExecuteRange(const StarPlan& plan,
                     const std::vector<std::unique_ptr<BloomFilter>>& blooms,
                     Buffers& buf, std::size_t row_begin,
-                    std::size_t row_end, std::vector<std::uint64_t>& agg,
-                    std::vector<std::uint64_t>& cnt,
-                    std::uint64_t* qualifying_out,
-                    std::vector<OpAcc>* accs = nullptr,
-                    const PerfCounters* pmu = nullptr,
-                    telemetry::Histogram* block_rows_hist = nullptr,
-                    const exec::QueryContext* ctx = nullptr,
-                    const std::vector<std::uint8_t>* chunk_alive = nullptr) {
+                    std::size_t row_end, BlockAccumulator& acc,
+                    const PerfCounters* pmu,
+                    telemetry::Histogram* block_rows_hist,
+                    const exec::QueryContext* ctx,
+                    const std::vector<std::uint8_t>* chunk_alive) {
     const HybridConfig probe_cfg = config.ProbeConfig();
     const HybridConfig gather_cfg = config.GatherConfig();
     const HybridConfig decode_cfg = config.DecodeConfig();
     const Flavor flavor = config.flavor;
     const auto block = static_cast<std::size_t>(config.block_size);
+    std::vector<std::uint64_t>& agg = acc.agg;
+    std::vector<std::uint64_t>& cnt = acc.cnt;
 
     // Chunked scan: resolve each distinct plan column to its chunked
     // shadow once, and pair it with a decoded-block buffer. Inside the
@@ -284,7 +206,7 @@ struct SsbEngine::Impl {
     // predictable branch) when stats are off; with stats they read the
     // monotonic clock, and with a PMU attached also snapshot the counter
     // group, so deltas land on the operator that spent them.
-    const bool stats = accs != nullptr;
+    const bool stats = !acc.ops.empty();
     std::uint64_t op_t0 = 0;
     PerfReading op_p0;
     auto op_begin = [&] {
@@ -298,7 +220,7 @@ struct SsbEngine::Impl {
     auto op_end = [&](std::size_t idx, std::uint64_t in_rows,
                       std::uint64_t out_rows, bool count_call = true) {
       if (!stats) return;
-      OpAcc& a = (*accs)[idx];
+      OpAcc& a = acc.ops[idx];
       a.nanos += MonotonicNanos() - op_t0;
       if (count_call) {
         ++a.calls;
@@ -319,6 +241,11 @@ struct SsbEngine::Impl {
     };
     const std::size_t probe_acc_base = plan.filters.size();
     const std::size_t groupby_acc = probe_acc_base + plan.joins.size();
+    // Multi-predicate WHERE clauses (the Q1.x plans) evaluate as bitmap
+    // scans + one conjunction on the vector flavours; the scalar flavour
+    // compacts after every predicate, which measures faster there.
+    const bool fused_filters =
+        flavor != Flavor::kScalar && plan.filters.size() >= 2;
 
     // Payload slots probed so far in the current block (schema-order slot
     // ids; probe order may differ after the selectivity sort).
@@ -398,10 +325,10 @@ struct SsbEngine::Impl {
         return out.data();
       };
 
-      // Range filters: either compact after every predicate (the
-      // vectorized-pipeline default) or evaluate all predicates as
-      // bitmaps and conjoin once (fused selection scans).
-      if (config.fused_filters && plan.filters.size() >= 2) {
+      // Range filters: either evaluate all predicates as bitmaps and
+      // conjoin once (fused selection scans) or compact after every
+      // predicate (the vectorized-pipeline default).
+      if (fused_filters) {
         // Filters precede joins in every plan, so the selection is still
         // the identity here and columns can be scanned in place.
         std::size_t live = 0;
@@ -486,127 +413,126 @@ struct SsbEngine::Impl {
         vb = fetch(*plan.value_b, vals_b);
       }
 
-      // Group-by aggregation. Group ids come from the plan's (scalar)
-      // mapping; the accumulate step is either the shared scalar loop or
-      // the conflict-detected gather-add-scatter path.
-      if (config.vectorized_agg && flavor != Flavor::kScalar) {
-        std::array<std::uint64_t, 4> p{};
-        for (std::size_t i = 0; i < n; ++i) {
-          for (int k = 0; k < probed_count; ++k) {
-            const int slot = probed_slots[k];
-            p[slot] = payloads[slot][i];
-          }
-          std::uint64_t value = va[i];
-          switch (plan.value_op) {
-            case ValueOp::kSum:
-              break;
-            case ValueOp::kSumProduct:
-              value *= vb[i];
-              break;
-            case ValueOp::kSumDiff:
-              value -= vb[i];
-              break;
-          }
-          pos[i] = plan.gid(p);  // materialized group ids
-          HEF_DCHECK(pos[i] < plan.gid_domain);
-          scratch[i] = value;    // materialized measures
+      // Group-by aggregation: group ids come from the plan's (scalar)
+      // mapping, accumulated by the shared scalar loop.
+      std::array<std::uint64_t, 4> p{};
+      for (std::size_t i = 0; i < n; ++i) {
+        for (int k = 0; k < probed_count; ++k) {
+          const int slot = probed_slots[k];
+          p[slot] = payloads[slot][i];
         }
-        GroupSumAdd(/*use_simd=*/true, pos.data(), scratch.data(), n,
-                    agg.data(), cnt.data());
-      } else {
-        std::array<std::uint64_t, 4> p{};
-        for (std::size_t i = 0; i < n; ++i) {
-          for (int k = 0; k < probed_count; ++k) {
-            const int slot = probed_slots[k];
-            p[slot] = payloads[slot][i];
-          }
-          std::uint64_t value = va[i];
-          switch (plan.value_op) {
-            case ValueOp::kSum:
-              break;
-            case ValueOp::kSumProduct:
-              value *= vb[i];
-              break;
-            case ValueOp::kSumDiff:
-              value -= vb[i];
-              break;
-          }
-          const std::uint64_t g = plan.gid(p);
-          HEF_DCHECK(g < plan.gid_domain);
-          agg[g] += value;
-          cnt[g] += 1;
+        std::uint64_t value = va[i];
+        switch (plan.value_op) {
+          case ValueOp::kSum:
+            break;
+          case ValueOp::kSumProduct:
+            value *= vb[i];
+            break;
+          case ValueOp::kSumDiff:
+            value -= vb[i];
+            break;
         }
+        const std::uint64_t g = plan.gid(p);
+        HEF_DCHECK(g < plan.gid_domain);
+        agg[g] += value;
+        cnt[g] += 1;
       }
       op_end(groupby_acc, n, n);
     }
-    *qualifying_out = qualifying;
+    acc.qualifying += qualifying;
   }
 
-  // Converts merged accumulators into named OperatorStats rows and feeds
-  // the process-wide metrics registry (query counters, per-join
-  // selectivity gauges, hash-table displacement histogram).
-  void FillOperatorStats(const StarPlan& plan,
-                         const std::vector<OpAcc>& accs,
-                         std::uint64_t bloom_nanos, std::uint64_t total,
-                         std::uint64_t qualifying,
-                         const ChunkPruning* pruning,
-                         QueryResult* result) const {
-    const ssb::LineorderFact& lo = db.lineorder;
-    auto to_stats = [](const std::string& name, const OpAcc& a) {
-      OperatorStats s;
-      s.name = name;
-      s.wall_nanos = a.nanos;
-      s.invocations = a.calls;
-      s.rows_in = a.rows_in;
-      s.rows_out = a.rows_out;
-      s.perf.valid = a.pmu_valid;
-      s.perf.instructions = a.instructions;
-      s.perf.cycles = a.cycles;
-      s.perf.llc_misses = a.llc_misses;
-      s.perf.scaled = a.pmu_scaled;
-      s.perf.elapsed_seconds = static_cast<double>(a.nanos) * 1e-9;
-      return s;
-    };
+  // Runs a resolved plan through the shell's block dispatch. Sets
+  // *rows_scanned to the fact rows the dispatched chunks hold (all rows
+  // unless chunks were pruned).
+  QueryResult ExecutePlan(const Entry& entry, bool cache_hit,
+                          const exec::QueryContext* ctx,
+                          std::uint64_t* rows_scanned) {
+    const StarPlan& plan = entry.bound.plan;
+    const Extras& extras = entry.extras;
+    const bool stats = config.collect_stats;
+    const ssb::ChunkedFact* chunked =
+        config.chunked_scan ? db.chunked.get() : nullptr;
+    const std::size_t total =
+        chunked != nullptr ? chunked->rows() : db.lineorder.n;
+    const auto block = static_cast<std::size_t>(config.block_size);
+    const ChunkPruning* pruning =
+        extras.pruning.alive.empty() ? nullptr : &extras.pruning;
+    *rows_scanned = pruning != nullptr ? pruning->rows_scanned : total;
 
-    auto& ops = result->operator_stats;
-    ops.reserve(accs.size() + 1);
-    if (bloom_nanos > 0) {
+    telemetry::Histogram* block_hist =
+        stats ? &telemetry::MetricsRegistry::Get().histogram(
+                    "engine.block_qualifying_rows")
+              : nullptr;
+    const BlockWorker worker = [&](bool inline_path,
+                                   const BlockClaim& claim,
+                                   BlockAccumulator& acc) {
+      std::unique_ptr<Buffers> own;
+      if (!inline_path) own = std::make_unique<Buffers>(block);
+      Buffers& buffers = inline_path ? main_buffers : *own;
+      // perf fds opened with pid=0 follow the opening thread only, so
+      // every executing thread opens its own counter group.
+      std::unique_ptr<PerfCounters> pmu;
+      if (stats && config.collect_pmu) pmu = StartPmu();
+      std::size_t blk_begin = 0;
+      std::size_t blk_end = 0;
+      while (claim(&blk_begin, &blk_end)) {
+        ExecuteRange(plan, extras.blooms, buffers, blk_begin * block,
+                     std::min(total, blk_end * block), acc, pmu.get(),
+                     block_hist, ctx,
+                     pruning != nullptr ? &pruning->alive : nullptr);
+      }
+    };
+    const BlockDispatch dispatch{(total + block - 1) / block, config.threads,
+                                 stats, "engine.pipeline", "engine.worker"};
+    QueryResult result =
+        DispatchBlocks(plan, db.lineorder, dispatch, worker, ctx);
+
+    if (chunked != nullptr) {
+      result.chunks_total = chunked->num_chunks();
+      result.chunks_scanned = pruning != nullptr ? pruning->chunks_scanned
+                                                 : result.chunks_total;
+      result.chunks_pruned = result.chunks_total - result.chunks_scanned;
+      auto& registry = telemetry::MetricsRegistry::Get();
+      registry.counter("storage.chunks_scanned")
+          .Increment(result.chunks_scanned);
+      registry.counter("storage.chunks_pruned")
+          .Increment(result.chunks_pruned);
+    }
+    if (!stats) return result;
+
+    // The engine's additions to the shell's operator rows: chunk-pruning
+    // attribution (pruning stages align with the filter-then-join operator
+    // order), per-join selectivity gauges, the Bloom build row, query
+    // counters and the hash-table displacement histogram.
+    auto& ops = result.operator_stats;
+    auto& registry = telemetry::MetricsRegistry::Get();
+    const std::size_t stages = plan.filters.size() + plan.joins.size();
+    for (std::size_t idx = 0; idx < stages; ++idx) {
+      OperatorStats& s = ops[idx];
+      if (pruning != nullptr && idx < pruning->reached.size()) {
+        s.chunks_pruned = pruning->pruned_by[idx];
+        s.chunks_scanned = pruning->reached[idx] - s.chunks_pruned;
+      }
+      if (idx >= plan.filters.size()) {
+        registry.gauge("engine.selectivity." + s.name)
+            .Set(s.Selectivity());
+      }
+    }
+    // On a cache hit no Bloom filters were built this Run, so suppress
+    // the build.bloom stats row (its nanos belong to the Run that
+    // missed).
+    if (!cache_hit && extras.bloom_nanos > 0) {
       OperatorStats s;
       s.name = "build.bloom";
-      s.wall_nanos = bloom_nanos;
+      s.wall_nanos = extras.bloom_nanos;
       s.invocations = 1;
-      ops.push_back(std::move(s));
+      ops.insert(ops.begin(), std::move(s));
     }
-    // Pruning stages align with the filter-then-join operator order, so
-    // `idx` doubles as the ChunkPruning stage index.
-    auto attach_chunks = [&](OperatorStats& s, std::size_t stage) {
-      if (pruning == nullptr || stage >= pruning->reached.size()) return;
-      s.chunks_pruned = pruning->pruned_by[stage];
-      s.chunks_scanned = pruning->reached[stage] - s.chunks_pruned;
-    };
-    std::size_t idx = 0;
-    for (const RangeFilter& f : plan.filters) {
-      ops.push_back(to_stats(
-          std::string("filter.") + FactColumnName(lo, f.col), accs[idx]));
-      attach_chunks(ops.back(), idx);
-      ++idx;
-    }
-    auto& registry = telemetry::MetricsRegistry::Get();
-    for (const JoinStage& j : plan.joins) {
-      const std::string name =
-          std::string("probe.") + FactColumnName(lo, j.fact_key);
-      ops.push_back(to_stats(name, accs[idx]));
-      attach_chunks(ops.back(), idx);
-      registry.gauge("engine.selectivity." + name)
-          .Set(ops.back().Selectivity());
-      ++idx;
-    }
-    ops.push_back(to_stats("groupby", accs[idx]));
-
     registry.counter("engine.queries").Increment();
     registry.counter("engine.rows_scanned").Increment(total);
-    registry.counter("engine.rows_qualifying").Increment(qualifying);
-
+    registry.counter("engine.rows_qualifying")
+        .Increment(result.qualifying_rows);
     // Linear-probe displacement of every occupied dimension slot — the
     // probe-chain length distribution vector probes traverse.
     telemetry::Histogram& probe_hist =
@@ -619,149 +545,13 @@ struct SsbEngine::Impl {
         probe_hist.Observe((slot - t.HomeSlot(key)) & t.mask());
       }
     }
-  }
-
-  QueryResult ExecutePlan(
-      const StarPlan& plan,
-      const std::vector<std::unique_ptr<BloomFilter>>& blooms,
-      std::uint64_t bloom_nanos, const ChunkPruning* pruning = nullptr,
-      const exec::QueryContext* ctx = nullptr) {
-    const bool stats = config.collect_stats;
-    const std::size_t total = config.chunked_scan && db.chunked != nullptr
-                                  ? db.chunked->rows()
-                                  : db.lineorder.n;
-    const auto block = static_cast<std::size_t>(config.block_size);
-    const std::vector<std::uint8_t>* alive =
-        pruning != nullptr && !pruning->alive.empty() ? &pruning->alive
-                                                      : nullptr;
-
-    std::vector<std::uint64_t> agg(plan.gid_domain, 0);
-    std::vector<std::uint64_t> cnt(plan.gid_domain, 0);
-    std::uint64_t qualifying = 0;
-
-    const std::size_t n_ops = plan.filters.size() + plan.joins.size() + 1;
-    std::vector<OpAcc> accs;
-    telemetry::Histogram* block_hist = nullptr;
-    if (stats) {
-      accs.resize(n_ops);
-      block_hist = &telemetry::MetricsRegistry::Get().histogram(
-          "engine.block_qualifying_rows");
-    }
-
-    const std::size_t blocks_total = (total + block - 1) / block;
-    std::uint64_t morsels = blocks_total;  // serial path: one per block
-    const int threads =
-        std::min<int>(exec::ResolveThreads(config.threads),
-                      static_cast<int>(blocks_total == 0 ? 1 : blocks_total));
-    if (threads <= 1) {
-      HEF_TRACE_SPAN("engine.pipeline");
-      // perf fds count the opening thread, so the single-threaded path
-      // opens its group here and workers open their own below.
-      std::unique_ptr<PerfCounters> pmu;
-      if (stats && config.collect_pmu) {
-        pmu = std::make_unique<PerfCounters>();
-        if (pmu->available()) {
-          pmu->Start();
-        } else {
-          pmu.reset();
-        }
-      }
-      ExecuteRange(plan, blooms, main_buffers, 0, total, agg, cnt,
-                   &qualifying, stats ? &accs : nullptr, pmu.get(),
-                   block_hist, ctx, alive);
-    } else {
-      // Morsel parallelism over the persistent pool: workers claim
-      // block-aligned morsels dynamically from the scheduler (stealing
-      // from loaded shards when their own drains, so a skewed or
-      // preempted worker no longer serializes the tail). Accumulators
-      // stay private and merge in worker order at the end — group sums
-      // commute, so results are bit-identical to single-threaded.
-      std::vector<std::vector<std::uint64_t>> worker_agg(
-          threads, std::vector<std::uint64_t>(plan.gid_domain, 0));
-      std::vector<std::vector<std::uint64_t>> worker_cnt(
-          threads, std::vector<std::uint64_t>(plan.gid_domain, 0));
-      std::vector<std::uint64_t> worker_qualifying(threads, 0);
-      std::vector<std::vector<OpAcc>> worker_accs(
-          threads, std::vector<OpAcc>(stats ? n_ops : 0));
-      const exec::MorselRunInfo info = exec::RunMorsels(
-          blocks_total, threads,
-          [&](int t, exec::MorselScheduler& sched) {
-            HEF_TRACE_SPAN("engine.worker");
-            Buffers buffers(block);
-            // Each worker opens its own counter group: perf fds opened
-            // with pid=0 follow the opening thread only.
-            std::unique_ptr<PerfCounters> pmu;
-            if (stats && config.collect_pmu) {
-              pmu = std::make_unique<PerfCounters>();
-              if (pmu->available()) {
-                pmu->Start();
-              } else {
-                pmu.reset();
-              }
-            }
-            std::size_t blk_begin = 0;
-            std::size_t blk_end = 0;
-            while (sched.Next(t, &blk_begin, &blk_end)) {
-              std::uint64_t q = 0;
-              ExecuteRange(plan, blooms, buffers, blk_begin * block,
-                           std::min(total, blk_end * block), worker_agg[t],
-                           worker_cnt[t], &q,
-                           stats ? &worker_accs[t] : nullptr, pmu.get(),
-                           block_hist, ctx, alive);
-              worker_qualifying[t] += q;
-            }
-          },
-          ctx);
-      morsels = info.dispatched;
-      for (int t = 0; t < threads; ++t) {
-        qualifying += worker_qualifying[t];
-        for (std::size_t g = 0; g < plan.gid_domain; ++g) {
-          agg[g] += worker_agg[t][g];
-          cnt[g] += worker_cnt[t][g];
-        }
-        if (stats) {
-          for (std::size_t i = 0; i < n_ops; ++i) {
-            accs[i].Merge(worker_accs[t][i]);
-          }
-        }
-      }
-    }
-
-    QueryResult result;
-    result.qualifying_rows = qualifying;
-    result.morsels = morsels;
-    if (config.chunked_scan && db.chunked != nullptr) {
-      result.chunks_total = db.chunked->num_chunks();
-      result.chunks_scanned = pruning != nullptr
-                                  ? pruning->chunks_scanned
-                                  : result.chunks_total;
-      result.chunks_pruned = result.chunks_total - result.chunks_scanned;
-      auto& registry = telemetry::MetricsRegistry::Get();
-      registry.counter("storage.chunks_scanned")
-          .Increment(result.chunks_scanned);
-      registry.counter("storage.chunks_pruned")
-          .Increment(result.chunks_pruned);
-    }
-    if (stats) {
-      FillOperatorStats(plan, accs, bloom_nanos, total, qualifying,
-                        pruning, &result);
-    }
-    for (std::size_t g = 0; g < plan.gid_domain; ++g) {
-      if (cnt[g] == 0) continue;
-      GroupRow row;
-      row.keys = plan.decode(g);
-      row.value = agg[g];
-      result.rows.push_back(row);
-    }
-    std::sort(result.rows.begin(), result.rows.end());
     return result;
   }
 
   // The serving path behind Run(id, ctx): status in, status out — no
-  // aborts for anything a client request can cause. Exceptions escaping
-  // the pipeline (a worker threw; the TaskPool rethrew the first one at
-  // the join) become Status::Internal here.
-  Result<QueryResult> TryRun(QueryId id, const exec::QueryContext& ctx) {
+  // aborts for anything a client request can cause.
+  Result<QueryResult> TryRun(QueryId id, const exec::QueryContext& ctx,
+                             std::uint64_t* rows_scanned) {
     HEF_TRACE_SPAN("engine.query");
     HEF_RETURN_NOT_OK(CheckFlavorSupported(config.flavor));
     if (config.chunked_scan) {
@@ -779,172 +569,29 @@ struct SsbEngine::Impl {
             std::to_string(config.block_size) + ")");
       }
     }
-    HEF_RETURN_NOT_OK(ctx.Check());
-    const bool stats = config.collect_stats;
-
-    OperatorStats build;
-    std::unique_ptr<PerfCounters> pmu;
-    std::uint64_t t0 = 0;
-    if (stats) {
-      build.name = "build";
-      if (config.collect_pmu) {
-        pmu = std::make_unique<PerfCounters>();
-        if (pmu->available()) {
-          pmu->Start();
-        } else {
-          pmu.reset();
-        }
-      }
-      t0 = MonotonicNanos();
-    }
-
-    // Resolve the plan: a cache hit reuses the dimension hash tables and
-    // Bloom filters built by an earlier Run; the "build" stats row then
-    // reports the (tiny) lookup cost, which is the build work this Run
-    // actually did. With the cache off, every Run builds fresh. A failed
-    // build inserts nothing — the cache never holds a half-built plan.
-    bool cache_hit = false;
-    const PlanEntry* entry = nullptr;
-    PlanEntry fresh;
-    if (config.plan_cache) {
-      Result<const PlanEntry*> cached = plan_cache.TryGetOrBuild(
-          id,
-          [&]() -> Result<PlanEntry> { return TryBuildEntry(id, ctx); },
-          &cache_hit);
-      HEF_RETURN_NOT_OK(cached.status());
-      entry = cached.value();
-    } else {
-      Result<PlanEntry> built = TryBuildEntry(id, ctx);
-      HEF_RETURN_NOT_OK(built.status());
-      fresh = std::move(built).value();
-      entry = &fresh;
-    }
-
-    if (stats) {
-      build.wall_nanos = MonotonicNanos() - t0;
-      build.invocations = 1;
-      for (const auto& table : entry->bound.tables) {
-        build.rows_in += table->size();
-        build.rows_out += table->size();
-      }
-      if (pmu != nullptr) {
-        build.perf = pmu->Stop();
-        build.perf.elapsed_seconds =
-            static_cast<double>(build.wall_nanos) * 1e-9;
-      }
-    }
-
-    // On a cache hit no Bloom filters were built this Run, so suppress
-    // the build.bloom stats row (its nanos belong to the Run that
-    // missed).
-    QueryResult result;
-    try {
-      result = ExecutePlan(entry->bound.plan, entry->blooms,
-                           cache_hit ? 0 : entry->bloom_nanos,
-                           entry->pruning.alive.empty() ? nullptr
-                                                        : &entry->pruning,
-                           &ctx);
-    } catch (const std::exception& e) {
-      return Status::Internal(std::string("query execution failed for ") +
-                              QueryName(id) + ": " + e.what());
-    } catch (...) {
-      return Status::Internal(
-          std::string("query execution failed for ") + QueryName(id) +
-          ": unknown exception");
-    }
-    // A stop mid-scan exits the loops without an error; the partial
-    // accumulators were merged into a partial result that must not look
-    // like a complete one. Report why the scan ended instead.
-    HEF_RETURN_NOT_OK(ctx.Check());
-    result.plan_cache_hit = cache_hit;
-    if (stats) {
-      result.operator_stats.insert(result.operator_stats.begin(),
-                                   std::move(build));
-    }
-    return result;
+    return shell.Execute(
+        id, ctx,
+        [&](const BoundPlan& bound) { return BuildExtras(bound, id); },
+        [&](const Entry& entry, bool cache_hit) {
+          return ExecutePlan(entry, cache_hit, &ctx, rows_scanned);
+        });
   }
-};
 
-SsbEngine::SsbEngine(const ssb::SsbDatabase& db, EngineConfig config)
-    : impl_(std::make_unique<Impl>(db, config)) {}
-
-SsbEngine::~SsbEngine() = default;
-
-const EngineConfig& SsbEngine::config() const { return impl_->config; }
-
-void SsbEngine::InvalidatePlanCache() { impl_->plan_cache.Invalidate(); }
-
-QueryResult SsbEngine::Run(QueryId id) {
-  // The abort-on-error convenience form runs through the same serving
-  // path with an unconstrained context: no token, no deadline, so only a
-  // genuine failure (or an armed fault) can make it non-OK — and tests
-  // and benches treat that as fatal, exactly as the pre-Status engine
-  // did.
-  Result<QueryResult> result = Run(id, exec::QueryContext());
-  HEF_CHECK_MSG(result.ok(), "SsbEngine::Run(%s) failed: %s", QueryName(id),
-                result.status().ToString().c_str());
-  return std::move(result).value();
-}
-
-Result<QueryResult> SsbEngine::Run(QueryId id,
-                                   const exec::QueryContext& ctx) {
-  // Every serving Run is traced: adopt the caller's id or mint one, so
-  // logs, flight events, /statusz and error messages all correlate.
-  exec::QueryContext traced = ctx;
-  if (traced.trace_id() == 0) traced.set_trace_id(exec::MintTraceId());
-  const std::string query = QueryName(id);
-  const std::string engine_label = FlavorName(impl_->config.flavor);
-
-  const std::uint64_t t0 = MonotonicNanos();
-  Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    telemetry::ActiveQueryGuard guard(traced.trace_id(), query,
-                                      engine_label,
-                                      traced.deadline_nanos());
-    return impl_->TryRun(id, traced);
-  }();
-  const std::uint64_t wall = MonotonicNanos() - t0;
-  exec::RecordQueryOutcome(result.status());
-
-  telemetry::QueryCompletion completion;
-  completion.trace_id = traced.trace_id();
-  completion.query = query;
-  completion.engine = engine_label;
-  completion.wall_nanos = wall;
-  if (result.ok()) {
-    QueryResult& r = result.value();
-    r.trace_id = traced.trace_id();
-    r.wall_nanos = wall;
-    completion.cache_hit = r.plan_cache_hit;
-    completion.morsels = r.morsels;
-    if (!r.operator_stats.empty()) {
-      completion.explain_json = ExplainToJson(
-          MakeExplainMeta(query, engine_label, impl_->config), r);
-    }
-    telemetry::Diagnostics::Get().RecordCompletion(completion);
-
-    // Feed the drift sentinel: one whole-query window always (wall-based
-    // ns/row works without PMU access), plus one window per probe stage
-    // when operator stats were collected — probes are the tuned kernel
-    // the sentinel's advice can name. The tuned point in the key is what
-    // residuals are attributed to.
-    const std::uint64_t now = t0 + wall;
+  // Feeds the drift sentinel: one whole-query window always (wall-based
+  // ns/row works without PMU access), plus one window per probe stage
+  // when operator stats were collected — probes are the tuned kernel the
+  // sentinel's advice can name. The tuned point in the key is what
+  // residuals are attributed to.
+  void FeedDrift(const std::string& query, const QueryResult& r,
+                 std::uint64_t rows_scanned, std::uint64_t now) const {
     DriftMonitor& drift = DriftMonitor::Get();
-    std::uint64_t rows = impl_->db.lineorder.n;
-    if (r.chunks_total > 0 && impl_->db.chunked != nullptr) {
-      rows = r.chunks_scanned *
-             static_cast<std::uint64_t>(impl_->db.chunked->chunk_rows());
-    }
+    const std::string probe_point = config.ProbeConfig().ToString();
+    const std::string gather_point = config.GatherConfig().ToString();
     DriftObservation obs;
     obs.nanos = now;
-    obs.rows = rows;
-    obs.wall_nanos = wall;
-    drift.Observe(
-        DriftKey{query, "query", impl_->config.ProbeConfig().ToString()},
-        obs);
-    const std::string probe_point =
-        impl_->config.ProbeConfig().ToString();
-    const std::string gather_point =
-        impl_->config.GatherConfig().ToString();
+    obs.rows = rows_scanned;
+    obs.wall_nanos = r.wall_nanos;
+    drift.Observe(DriftKey{query, "query", probe_point}, obs);
     for (const OperatorStats& s : r.operator_stats) {
       const bool probe = s.name.rfind("probe.", 0) == 0;
       const bool gather = s.name.rfind("filter.", 0) == 0;
@@ -961,17 +608,42 @@ Result<QueryResult> SsbEngine::Run(QueryId id,
                              probe ? probe_point : gather_point},
                     op_obs);
     }
-    return result;
   }
-  completion.status_code =
-      static_cast<std::uint16_t>(result.status().code());
-  completion.status_message = result.status().message();
-  telemetry::Diagnostics::Get().RecordCompletion(completion);
-  // Errors carry the trace id so a client-side log line alone is enough
-  // to find the query in /tracez or a flight dump.
-  return Status(result.status().code(),
-                result.status().message() + " [trace=" +
-                    telemetry::FormatTraceId(traced.trace_id()) + "]");
+};
+
+SsbEngine::SsbEngine(const ssb::SsbDatabase& db, EngineConfig config)
+    : impl_(std::make_unique<Impl>(db, config)) {}
+
+SsbEngine::~SsbEngine() = default;
+
+const EngineConfig& SsbEngine::config() const { return impl_->config; }
+
+void SsbEngine::InvalidatePlanCache() { impl_->shell.InvalidatePlanCache(); }
+
+QueryResult SsbEngine::Run(QueryId id) {
+  // The abort-on-error convenience form runs through the same serving
+  // path with an unconstrained context: no token, no deadline, so only a
+  // genuine failure (or an armed fault) can make it non-OK.
+  return ValueOrDie(Run(id, exec::QueryContext()), "SsbEngine", id);
+}
+
+Result<QueryResult> SsbEngine::Run(QueryId id,
+                                   const exec::QueryContext& ctx) {
+  const EngineConfig& config = impl_->config;
+  std::uint64_t rows_scanned = 0;
+  RunHooks hooks;
+  hooks.engine = FlavorName(config.flavor);
+  hooks.execute = [&](const exec::QueryContext& traced) {
+    return impl_->TryRun(id, traced, &rows_scanned);
+  };
+  hooks.explain_meta = [&](const std::string& query) {
+    return MakeExplainMeta(query, hooks.engine, config);
+  };
+  hooks.on_success = [&](const std::string& query, const QueryResult& r,
+                         std::uint64_t end_nanos) {
+    impl_->FeedDrift(query, r, rows_scanned, end_nanos);
+  };
+  return RunTraced(id, ctx, hooks);
 }
 
 }  // namespace hef

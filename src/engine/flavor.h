@@ -14,8 +14,13 @@
 
 #include "common/status.h"
 #include "hybrid/hybrid_config.h"
+#include "storage/encoding.h"
 
 namespace hef {
+
+namespace ssb {
+struct SsbDatabase;
+}  // namespace ssb
 
 enum class Flavor {
   kScalar,  // every kernel at v0 s1 p1
@@ -41,7 +46,10 @@ Result<Flavor> ResolveFlavorFlag(const std::string& name);
 
 // Per-engine configuration. The hybrid kernel coordinates default to the
 // paper's SSB optimum (one SIMD + one scalar statement, pack of three,
-// §V-B); the tuner can override them per host.
+// §V-B); the tuner can override them per host. The filter strategy follows
+// the flavour: the vector flavours evaluate multi-predicate WHERE clauses
+// as bitmap scans + one conjunction (Zhou & Ross selection scans), the
+// scalar flavour compacts after every predicate (EXPERIMENTS.md §7).
 struct EngineConfig {
   Flavor flavor = Flavor::kSimd;
   // Coordinates used when flavor == kHybrid.
@@ -54,15 +62,6 @@ struct EngineConfig {
   // filter literature the paper cites). Results are unchanged — Bloom
   // misses are definite misses, false positives fall out of the join.
   bool bloom_prefilter = false;
-  // Evaluate multi-predicate WHERE clauses as bitmap scans + conjunction
-  // (Zhou & Ross selection scans) instead of compacting after every
-  // predicate. Pays when individual predicates are unselective but their
-  // conjunction is (the Q1.x pattern).
-  bool fused_filters = false;
-  // Run the group-by accumulate as gather-add-scatter with AVX-512CD
-  // conflict detection instead of the scalar loop (related work [18]/[31]
-  // style). Scalar-flavour engines ignore this.
-  bool vectorized_agg = false;
   // Collect per-operator statistics (wall time, row counts, selectivity)
   // into QueryResult::operator_stats. Adds two clock reads per operator
   // per block, so it is off by default and benchmark timings should keep
@@ -100,41 +99,49 @@ struct EngineConfig {
   // dictionary gather) when flavor == kHybrid.
   HybridConfig decode_cfg{1, 1, 3};
 
-  // The kernel coordinate this engine flavour runs at.
-  HybridConfig ProbeConfig() const {
+  // The kernel coordinates this engine flavour runs at.
+  HybridConfig ProbeConfig() const { return AtFlavor(probe_cfg); }
+  HybridConfig GatherConfig() const { return AtFlavor(gather_cfg); }
+  HybridConfig DecodeConfig() const { return AtFlavor(decode_cfg); }
+
+ private:
+  // The pure flavours pin every kernel; hybrid runs the tuned point.
+  HybridConfig AtFlavor(HybridConfig tuned) const {
     switch (flavor) {
       case Flavor::kScalar:
         return HybridConfig::PureScalar();
       case Flavor::kSimd:
         return HybridConfig::PureSimd();
       case Flavor::kHybrid:
-        return probe_cfg;
-    }
-    return HybridConfig::PureSimd();
-  }
-  HybridConfig GatherConfig() const {
-    switch (flavor) {
-      case Flavor::kScalar:
-        return HybridConfig::PureScalar();
-      case Flavor::kSimd:
-        return HybridConfig::PureSimd();
-      case Flavor::kHybrid:
-        return gather_cfg;
-    }
-    return HybridConfig::PureSimd();
-  }
-  HybridConfig DecodeConfig() const {
-    switch (flavor) {
-      case Flavor::kScalar:
-        return HybridConfig::PureScalar();
-      case Flavor::kSimd:
-        return HybridConfig::PureSimd();
-      case Flavor::kHybrid:
-        return decode_cfg;
+        return tuned;
     }
     return HybridConfig::PureSimd();
   }
 };
+
+// The fact-table storage chosen by a serving binary's --encoding and
+// --pruning flags.
+struct StorageFlags {
+  bool chunked = false;  // any --encoding but "flat"
+  bool pruning = false;
+  storage::EncodingPolicy policy = storage::EncodingPolicy::kAuto;
+
+  // Builds db's chunked shadow when chunked (a no-op for flat storage or
+  // when the shadow already exists).
+  void EnsureStorage(ssb::SsbDatabase& db) const;
+  // Sets config's chunked_scan and scan_pruning.
+  void ApplyTo(EngineConfig* config) const {
+    config->chunked_scan = chunked;
+    config->scan_pruning = pruning;
+  }
+};
+
+// Parses --encoding (flat | auto | plain | dict | for) and validates
+// --pruning against it. Errors are InvalidArgument whose message is the
+// text to print: "--encoding=X: want flat | auto | plain | dict | for" or
+// "--pruning requires a chunked --encoding".
+Result<StorageFlags> ResolveStorageFlags(const std::string& encoding,
+                                         bool pruning);
 
 }  // namespace hef
 

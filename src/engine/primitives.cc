@@ -3,6 +3,7 @@
 #include "common/macros.h"
 #include "hybrid/hybrid_grid.h"
 #include "procinfo/cpu_features.h"
+#include "ssb/chunked_fact.h"
 #include "table/linear_hash_table.h"
 
 namespace hef {
@@ -158,6 +159,29 @@ Result<Flavor> ResolveFlavorFlag(const std::string& name) {
   HEF_RETURN_NOT_OK(parsed.status());
   HEF_RETURN_NOT_OK(CheckFlavorSupported(parsed.value()));
   return parsed;
+}
+
+Result<StorageFlags> ResolveStorageFlags(const std::string& encoding,
+                                         bool pruning) {
+  StorageFlags flags;
+  flags.chunked = encoding != "flat";
+  flags.pruning = pruning;
+  if (flags.chunked &&
+      !storage::EncodingPolicyByName(encoding.c_str(), &flags.policy)) {
+    return Status::InvalidArgument("--encoding=" + encoding +
+                                   ": want flat | auto | plain | dict | for");
+  }
+  if (pruning && !flags.chunked) {
+    return Status::InvalidArgument(
+        "--pruning requires a chunked --encoding");
+  }
+  return flags;
+}
+
+void StorageFlags::EnsureStorage(ssb::SsbDatabase& db) const {
+  ssb::ChunkedFactOptions options;
+  options.policy = policy;
+  if (chunked) ssb::EnsureChunked(db, options);
 }
 
 }  // namespace hef

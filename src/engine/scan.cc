@@ -1,5 +1,6 @@
 #include "engine/scan.h"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -148,7 +149,10 @@ ChunkPruning ComputeChunkPruning(const ssb::SsbDatabase& db,
                       stage.cause.c_str(), /*trace_id=*/0, /*arg0=*/c);
       break;
     }
-    pruning.chunks_scanned += pruning.alive[c];
+    if (pruning.alive[c] == 0) continue;
+    ++pruning.chunks_scanned;
+    pruning.rows_scanned +=
+        std::min(fact.chunk_rows(), fact.rows() - c * fact.chunk_rows());
   }
   recorder.Record(telemetry::FlightEventKind::kScanPrune, label.c_str(),
                   /*trace_id=*/0, /*arg0=*/pruning.chunks_scanned,

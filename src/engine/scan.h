@@ -7,8 +7,9 @@
 // evaluate *all* predicates over *all* rows without reshuffling data —
 // profitable when individual predicates are unselective but their
 // conjunction is (the SSB Q1 pattern), because compaction after a 50%
-// filter moves half the block. EngineConfig::fused_filters switches the
-// engine's filter stage to this strategy.
+// filter moves half the block. The engine's filter stage takes this path
+// on the vector flavours for plans with two or more range filters; the
+// scalar flavour compacts after each predicate, which measures faster.
 
 #ifndef HEF_ENGINE_SCAN_H_
 #define HEF_ENGINE_SCAN_H_
@@ -55,6 +56,7 @@ struct ChunkPruning {
   std::vector<std::uint8_t> alive;  // per chunk: 1 = scan, 0 = skip
   std::uint64_t chunks_total = 0;
   std::uint64_t chunks_scanned = 0;  // popcount of alive
+  std::uint64_t rows_scanned = 0;    // fact rows of the alive chunks
   // Per pruning stage (plan filters in order, then joins in probe
   // order): chunks that reached the stage un-pruned, and chunks the
   // stage pruned. First cause wins, so sum(pruned_by) + chunks_scanned

@@ -72,7 +72,7 @@ MorselRunInfo RunMorsels(
 //   exec.queries_deadline_exceeded  counter — DeadlineExceeded
 //   exec.queries_failed             counter — every other error
 //
-// Both engines call this from their Result-returning Run overloads, so
+// The engines' shared Run envelope (engine/query_shell.h) calls this, so
 // callers (benches, servers) get outcome counts without instrumenting
 // each call site.
 void RecordQueryOutcome(const Status& status);

@@ -8,9 +8,9 @@
 // lanes fall back to serial updates. The scalar lowering is the plain
 // accumulate loop, so the operation fits HEF's flavour scheme.
 //
-// This is the engine's optional vectorized aggregation stage
-// (EngineConfig::vectorized_agg); group ids must be < the accumulator
-// array size.
+// The engine accumulates with the scalar loop (this kernel measured
+// slower there); bench/micro_kernels and the benchmark replay call it.
+// Group ids must be < the accumulator array size.
 
 #ifndef HEF_TABLE_GROUP_AGG_H_
 #define HEF_TABLE_GROUP_AGG_H_

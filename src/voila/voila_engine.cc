@@ -3,20 +3,15 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <atomic>
 #include <vector>
 
 #include "algo/murmur.h"
 #include "common/macros.h"
 #include "common/stopwatch.h"
+#include "engine/query_shell.h"
 #include "engine/star_plan.h"
 #include "exec/fault_injection.h"
-#include "exec/plan_cache.h"
-#include "exec/runtime.h"
-#include "exec/task_pool.h"
-#include "engine/explain.h"
 #include "table/linear_hash_table.h"
-#include "telemetry/diagnostics.h"
 #include "telemetry/span.h"
 
 namespace hef {
@@ -53,55 +48,24 @@ struct VoilaEngine::Impl {
   // Registers for the single-threaded path, built once per engine.
   Regs main_regs;
 
-  // Built plans keyed by query, shared-prefix metrics with the HEF
-  // engine (both report engine.plan_cache.{hit,miss}).
-  exec::PlanCache<QueryId, BoundPlan> plan_cache{"engine.plan_cache"};
+  // The interpreter keeps no per-plan state beside the bound plan.
+  struct Extras {};
+  using Entry = PlanEntry<Extras>;
+
+  QueryShell<Extras> shell;
 
   Impl(const ssb::SsbDatabase& database, VoilaConfig cfg)
       : db(database),
         config(cfg),
         main_regs(static_cast<std::size_t>(
-            cfg.vector_size < 16 ? 16 : cfg.vector_size)) {
+            cfg.vector_size < 16 ? 16 : cfg.vector_size)),
+        shell(database, "voila.build",
+              ShellOptions{cfg.threads, cfg.plan_cache, cfg.collect_stats,
+                           /*collect_pmu=*/false}) {
     HEF_CHECK_MSG(config.vector_size >= 16, "vector size too small");
     HEF_CHECK_MSG(config.prefetch_group >= 1, "prefetch group too small");
     HEF_CHECK_MSG(config.threads >= 0 && config.threads <= 256,
                   "thread count %d out of range", config.threads);
-  }
-
-  // Builds one query's plan. With multiple workers configured, the
-  // dimension hash tables build through the partitioned InsertBatch path
-  // on the persistent pool; the plan is identical either way.
-  BoundPlan BuildPlan(QueryId id) const {
-    HEF_TRACE_SPAN("voila.build");
-    PlanBuildOptions options;
-    const int workers = exec::ResolveThreads(config.threads);
-    if (workers > 1) {
-      options.parallel_for = [workers](
-                                 int parts,
-                                 const std::function<void(int)>& fn) {
-        const int w = workers < parts ? workers : parts;
-        std::atomic<int> next{0};
-        exec::TaskPool::Get().Run(w, [&](int) {
-          int p;
-          while ((p = next.fetch_add(1)) < parts) fn(p);
-        });
-      };
-    }
-    return BuildQueryPlan(db, id, options);
-  }
-
-  // The fallible build used by the serving path (see
-  // SsbEngine::Impl::TryBuildEntry — same contract, "voila.build" site).
-  Result<BoundPlan> TryBuildPlan(QueryId id,
-                                 const exec::QueryContext& ctx) const {
-    HEF_RETURN_NOT_OK(ctx.Check());
-    HEF_FAULT_POINT_STATUS("voila.build");
-    try {
-      return BuildPlan(id);
-    } catch (const std::exception& e) {
-      return Status::Internal(std::string("plan build failed for ") +
-                              QueryName(id) + ": " + e.what());
-    }
   }
 
   // Primitive: materialize col[base + sel[j]] into out[sel[j]].
@@ -183,30 +147,14 @@ struct VoilaEngine::Impl {
     return m;
   }
 
-  // Per-stage accumulation, same layout as the HEF engine (filters,
-  // probes, group-by) so tools can render both engines' stats alike.
-  struct StageAcc {
-    std::uint64_t nanos = 0, calls = 0, rows_in = 0, rows_out = 0;
-
-    void Merge(const StageAcc& o) {
-      nanos += o.nanos;
-      calls += o.calls;
-      rows_in += o.rows_in;
-      rows_out += o.rows_out;
-    }
-  };
-
   // Interprets fact rows [row_begin, row_end) — the per-worker run loop
-  // body — accumulating into the caller's agg/cnt arrays (sized
-  // plan.gid_domain) and `accs` (when non-null).
+  // body — accumulating into `acc` (per-stage rows too when acc.ops is
+  // non-empty; same layout as the HEF engine: filters, probes, group-by).
   void RunBlocks(const StarPlan& plan, Regs& regs, std::size_t row_begin,
-                 std::size_t row_end, std::vector<std::uint64_t>& agg,
-                 std::vector<std::uint64_t>& cnt,
-                 std::uint64_t* qualifying_out,
-                 std::vector<StageAcc>* stage_accs,
-                 const exec::QueryContext* ctx = nullptr) const {
+                 std::size_t row_end, BlockAccumulator& acc,
+                 const exec::QueryContext* ctx) const {
     const auto vec = static_cast<std::size_t>(config.vector_size);
-    const bool stats = stage_accs != nullptr;
+    const bool stats = !acc.ops.empty();
     const std::size_t probe_base = plan.filters.size();
     const std::size_t groupby_idx = probe_base + plan.joins.size();
     std::uint64_t qualifying = 0;
@@ -218,7 +166,7 @@ struct VoilaEngine::Impl {
     auto stage_end = [&](std::size_t idx, std::uint64_t in_rows,
                          std::uint64_t out_rows) {
       if (!stats) return;
-      StageAcc& a = (*stage_accs)[idx];
+      OpAcc& a = acc.ops[idx];
       a.nanos += MonotonicNanos() - t0;
       ++a.calls;
       a.rows_in += in_rows;
@@ -296,172 +244,46 @@ struct VoilaEngine::Impl {
         }
         const std::uint64_t g = plan.gid(p);
         HEF_DCHECK(g < plan.gid_domain);
-        agg[g] += regs.val_vec[i];
-        cnt[g] += 1;
+        acc.agg[g] += regs.val_vec[i];
+        acc.cnt[g] += 1;
       }
       stage_end(groupby_idx, n, n);
     }
-    *qualifying_out += qualifying;
+    acc.qualifying += qualifying;
   }
 
   QueryResult ExecutePlan(const StarPlan& plan,
-                          const exec::QueryContext* ctx = nullptr) {
+                          const exec::QueryContext* ctx) {
+    HEF_TRACE_SPAN("voila.pipeline");
     const auto vec = static_cast<std::size_t>(config.vector_size);
     const std::size_t total = db.lineorder.n;
-
-    std::vector<std::uint64_t> agg(plan.gid_domain, 0);
-    std::vector<std::uint64_t> cnt(plan.gid_domain, 0);
-    std::uint64_t qualifying = 0;
-
-    const bool stats = config.collect_stats;
-    const std::size_t n_stages = plan.filters.size() + plan.joins.size() + 1;
-    std::vector<StageAcc> accs(stats ? n_stages : 0);
-
-    const std::size_t blocks_total = (total + vec - 1) / vec;
-    std::uint64_t morsels = blocks_total;  // serial path: one per vector
-    const int threads =
-        std::min<int>(exec::ResolveThreads(config.threads),
-                      static_cast<int>(blocks_total == 0 ? 1 : blocks_total));
-    if (threads <= 1) {
-      RunBlocks(plan, main_regs, 0, total, agg, cnt, &qualifying,
-                stats ? &accs : nullptr, ctx);
-    } else {
-      // Morsel parallelism over the persistent pool, same scheduler as
-      // the HEF engine: workers claim vector-sized morsels dynamically,
-      // stealing when their shard drains. Private accumulators merge in
-      // worker order (commutative sums -> bit-identical results).
-      std::vector<std::vector<std::uint64_t>> worker_agg(
-          threads, std::vector<std::uint64_t>(plan.gid_domain, 0));
-      std::vector<std::vector<std::uint64_t>> worker_cnt(
-          threads, std::vector<std::uint64_t>(plan.gid_domain, 0));
-      std::vector<std::uint64_t> worker_qualifying(threads, 0);
-      std::vector<std::vector<StageAcc>> worker_accs(
-          threads, std::vector<StageAcc>(stats ? n_stages : 0));
-      const exec::MorselRunInfo info = exec::RunMorsels(
-          blocks_total, threads,
-          [&](int t, exec::MorselScheduler& sched) {
-            HEF_TRACE_SPAN("voila.worker");
-            Regs regs(vec);
-            std::size_t blk_begin = 0;
-            std::size_t blk_end = 0;
-            while (sched.Next(t, &blk_begin, &blk_end)) {
-              RunBlocks(plan, regs, blk_begin * vec,
-                        std::min(total, blk_end * vec), worker_agg[t],
-                        worker_cnt[t], &worker_qualifying[t],
-                        stats ? &worker_accs[t] : nullptr, ctx);
-            }
-          },
-          ctx);
-      morsels = info.dispatched;
-      for (int t = 0; t < threads; ++t) {
-        qualifying += worker_qualifying[t];
-        for (std::size_t g = 0; g < plan.gid_domain; ++g) {
-          agg[g] += worker_agg[t][g];
-          cnt[g] += worker_cnt[t][g];
-        }
-        if (stats) {
-          for (std::size_t i = 0; i < n_stages; ++i) {
-            accs[i].Merge(worker_accs[t][i]);
-          }
-        }
+    const BlockWorker worker = [&](bool inline_path,
+                                   const BlockClaim& claim,
+                                   BlockAccumulator& acc) {
+      std::unique_ptr<Regs> own;
+      if (!inline_path) own = std::make_unique<Regs>(vec);
+      Regs& regs = inline_path ? main_regs : *own;
+      std::size_t blk_begin = 0;
+      std::size_t blk_end = 0;
+      while (claim(&blk_begin, &blk_end)) {
+        RunBlocks(plan, regs, blk_begin * vec,
+                  std::min(total, blk_end * vec), acc, ctx);
       }
-    }
-
-    QueryResult result;
-    result.qualifying_rows = qualifying;
-    result.morsels = morsels;
-    if (stats) {
-      const ssb::LineorderFact& lo = db.lineorder;
-      auto to_stats = [](const std::string& name, const StageAcc& a) {
-        OperatorStats s;
-        s.name = name;
-        s.wall_nanos = a.nanos;
-        s.invocations = a.calls;
-        s.rows_in = a.rows_in;
-        s.rows_out = a.rows_out;
-        return s;
-      };
-      auto& ops = result.operator_stats;
-      ops.reserve(accs.size());
-      std::size_t idx = 0;
-      for (const RangeFilter& f : plan.filters) {
-        ops.push_back(to_stats(
-            std::string("filter.") + FactColumnName(lo, f.col),
-            accs[idx++]));
-      }
-      for (const JoinStage& j : plan.joins) {
-        ops.push_back(to_stats(
-            std::string("probe.") + FactColumnName(lo, j.fact_key),
-            accs[idx++]));
-      }
-      ops.push_back(to_stats("groupby", accs[idx]));
-    }
-    for (std::size_t g = 0; g < plan.gid_domain; ++g) {
-      if (cnt[g] == 0) continue;
-      GroupRow row;
-      row.keys = plan.decode(g);
-      row.value = agg[g];
-      result.rows.push_back(row);
-    }
-    std::sort(result.rows.begin(), result.rows.end());
-    return result;
+    };
+    const BlockDispatch dispatch{(total + vec - 1) / vec, config.threads,
+                                 config.collect_stats,
+                                 /*inline_span=*/nullptr, "voila.worker"};
+    return DispatchBlocks(plan, db.lineorder, dispatch, worker, ctx);
   }
 
-  // The serving path behind Run(id, ctx) — same contract as
-  // SsbEngine::Impl::TryRun.
+  // The serving path behind Run(id, ctx).
   Result<QueryResult> TryRun(QueryId id, const exec::QueryContext& ctx) {
     HEF_TRACE_SPAN("voila.query");
-    HEF_RETURN_NOT_OK(ctx.Check());
-    const bool stats = config.collect_stats;
-    OperatorStats build;
-    std::uint64_t t0 = 0;
-    if (stats) {
-      build.name = "build";
-      t0 = MonotonicNanos();
-    }
-    bool cache_hit = false;
-    const BoundPlan* bound = nullptr;
-    BoundPlan fresh;
-    if (config.plan_cache) {
-      Result<const BoundPlan*> cached = plan_cache.TryGetOrBuild(
-          id, [&]() -> Result<BoundPlan> { return TryBuildPlan(id, ctx); },
-          &cache_hit);
-      HEF_RETURN_NOT_OK(cached.status());
-      bound = cached.value();
-    } else {
-      Result<BoundPlan> built = TryBuildPlan(id, ctx);
-      HEF_RETURN_NOT_OK(built.status());
-      fresh = std::move(built).value();
-      bound = &fresh;
-    }
-    if (stats) {
-      build.wall_nanos = MonotonicNanos() - t0;
-      build.invocations = 1;
-      for (const auto& table : bound->tables) {
-        build.rows_in += table->size();
-        build.rows_out += table->size();
-      }
-    }
-    QueryResult result;
-    try {
-      HEF_TRACE_SPAN("voila.pipeline");
-      result = ExecutePlan(bound->plan, &ctx);
-    } catch (const std::exception& e) {
-      return Status::Internal(std::string("query execution failed for ") +
-                              QueryName(id) + ": " + e.what());
-    } catch (...) {
-      return Status::Internal(
-          std::string("query execution failed for ") + QueryName(id) +
-          ": unknown exception");
-    }
-    // A stop mid-scan leaves a partial result; report the reason instead.
-    HEF_RETURN_NOT_OK(ctx.Check());
-    result.plan_cache_hit = cache_hit;
-    if (stats) {
-      result.operator_stats.insert(result.operator_stats.begin(),
-                                   std::move(build));
-    }
-    return result;
+    return shell.Execute(
+        id, ctx, [](const BoundPlan&) { return Extras{}; },
+        [&](const Entry& entry, bool) {
+          return ExecutePlan(entry.bound.plan, &ctx);
+        });
   }
 };
 
@@ -472,63 +294,25 @@ VoilaEngine::~VoilaEngine() = default;
 
 const VoilaConfig& VoilaEngine::config() const { return impl_->config; }
 
-void VoilaEngine::InvalidatePlanCache() { impl_->plan_cache.Invalidate(); }
+void VoilaEngine::InvalidatePlanCache() {
+  impl_->shell.InvalidatePlanCache();
+}
 
 QueryResult VoilaEngine::Run(QueryId id) {
-  // Abort-on-error convenience form over the same serving path (see
-  // SsbEngine::Run for the rationale).
-  Result<QueryResult> result = Run(id, exec::QueryContext());
-  HEF_CHECK_MSG(result.ok(), "VoilaEngine::Run(%s) failed: %s",
-                QueryName(id), result.status().ToString().c_str());
-  return std::move(result).value();
+  return ValueOrDie(Run(id, exec::QueryContext()), "VoilaEngine", id);
 }
 
 Result<QueryResult> VoilaEngine::Run(QueryId id,
                                      const exec::QueryContext& ctx) {
-  // Same diagnostics envelope as SsbEngine::Run: adopt or mint a trace
-  // id, register with /statusz for the run's lifetime, record the
-  // completion, and stamp errors with the trace id.
-  exec::QueryContext traced = ctx;
-  if (traced.trace_id() == 0) traced.set_trace_id(exec::MintTraceId());
-  const std::string query = QueryName(id);
-
-  const std::uint64_t t0 = MonotonicNanos();
-  Result<QueryResult> result = [&]() -> Result<QueryResult> {
-    telemetry::ActiveQueryGuard guard(traced.trace_id(), query, "voila",
-                                      traced.deadline_nanos());
+  RunHooks hooks;
+  hooks.engine = "voila";
+  hooks.execute = [&](const exec::QueryContext& traced) {
     return impl_->TryRun(id, traced);
-  }();
-  const std::uint64_t wall = MonotonicNanos() - t0;
-  exec::RecordQueryOutcome(result.status());
-
-  telemetry::QueryCompletion completion;
-  completion.trace_id = traced.trace_id();
-  completion.query = query;
-  completion.engine = "voila";
-  completion.wall_nanos = wall;
-  if (result.ok()) {
-    QueryResult& r = result.value();
-    r.trace_id = traced.trace_id();
-    r.wall_nanos = wall;
-    completion.cache_hit = r.plan_cache_hit;
-    completion.morsels = r.morsels;
-    if (!r.operator_stats.empty()) {
-      ExplainMeta meta;
-      meta.query = query;
-      meta.engine = "voila";
-      meta.flavor = "voila";
-      completion.explain_json = ExplainToJson(meta, r);
-    }
-    telemetry::Diagnostics::Get().RecordCompletion(completion);
-    return result;
-  }
-  completion.status_code =
-      static_cast<std::uint16_t>(result.status().code());
-  completion.status_message = result.status().message();
-  telemetry::Diagnostics::Get().RecordCompletion(completion);
-  return Status(result.status().code(),
-                result.status().message() + " [trace=" +
-                    telemetry::FormatTraceId(traced.trace_id()) + "]");
+  };
+  hooks.explain_meta = [](const std::string& query) {
+    return ExplainMeta{query, "voila", "voila"};
+  };
+  return RunTraced(id, ctx, hooks);
 }
 
 }  // namespace hef

@@ -3,6 +3,7 @@
 // queries, the pruning bookkeeping surfaced through QueryResult and
 // EXPLAIN, and the configuration validation on the fallible Run path.
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -11,8 +12,12 @@
 #include "engine/engine.h"
 #include "engine/explain.h"
 #include "engine/reference.h"
+#include "engine/scan.h"
+#include "engine/star_plan.h"
+#include "perf/drift_monitor.h"
 #include "ssb/chunked_fact.h"
 #include "ssb/database.h"
+#include "telemetry/json_value.h"
 #include "telemetry/metrics.h"
 
 namespace hef {
@@ -135,6 +140,49 @@ TEST(ChunkedScanTest, StorageMetricsAdvance) {
       registry.counter("storage.chunks_pruned").value() - pruned0;
   EXPECT_EQ(scanned + pruned, db.chunked->num_chunks());
   EXPECT_GT(pruned, 0u);
+}
+
+// The `rows` of the whole-query drift window one Run fed the sentinel.
+std::uint64_t DriftQueryRows(const std::string& query) {
+  auto parsed = telemetry::JsonValue::Parse(DriftMonitor::Get().ToJson());
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  if (!parsed.ok()) return 0;
+  const telemetry::JsonValue* profiles = parsed.value().Find("profiles");
+  if (profiles == nullptr) return 0;
+  for (const telemetry::JsonValue& p : profiles->array()) {
+    if (p.StringOr("query", "") == query &&
+        p.StringOr("kernel", "") == "query") {
+      return static_cast<std::uint64_t>(p.NumberOr("rows", 0));
+    }
+  }
+  ADD_FAILURE() << "no drift window for " << query;
+  return 0;
+}
+
+TEST(ChunkedScanTest, DriftWindowCountsRowsOfScannedChunks) {
+  const ssb::SsbDatabase db = MakeChunkedDb();
+  const std::size_t n = db.chunked->rows();
+  // The tail chunk is short: counting it as a full chunk overstates rows.
+  ASSERT_NE(n % kChunkRows, 0u);
+
+  DriftMonitor::Get().Reset();
+  SsbEngine chunked(db, Config(Flavor::kHybrid, true, false));
+  chunked.Run(QueryId::kQ2_1);
+  EXPECT_EQ(DriftQueryRows("Q2.1"), n);
+
+  // With pruning, the window holds exactly the rows of surviving chunks.
+  const BoundPlan bound = BuildQueryPlan(db, QueryId::kQ1_1);
+  const ChunkPruning pruning = ComputeChunkPruning(db, bound.plan, "Q1.1");
+  std::uint64_t want = 0;
+  for (std::size_t c = 0; c < pruning.alive.size(); ++c) {
+    if (pruning.alive[c]) want += std::min(kChunkRows, n - c * kChunkRows);
+  }
+  ASSERT_LT(want, n);
+  DriftMonitor::Get().Reset();
+  SsbEngine pruned(db, Config(Flavor::kHybrid, true, true));
+  pruned.Run(QueryId::kQ1_1);
+  EXPECT_EQ(DriftQueryRows("Q1.1"), want);
+  DriftMonitor::Get().Reset();
 }
 
 TEST(ChunkedScanTest, ChunkedScanWithoutEnsureChunkedIsInvalidArgument) {

@@ -5,7 +5,9 @@
 
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -242,66 +244,6 @@ TEST_F(EngineFaultTest, ParallelWorkersSurviveInjectedException) {
   EXPECT_TRUE(ok.value() == RunReferenceQuery(*db_, QueryId::kQ2_1));
 }
 
-TEST_F(EngineFaultTest, BuildErrorPropagatesAndCacheRetries) {
-  SsbEngine engine(*db_, SingleThreadConfig());
-  exec::FaultSpec spec;
-  spec.action = exec::FaultAction::kError;
-  spec.status = Status::IoError("injected build failure");
-  exec::FaultRegistry::Get().Arm("engine.build", spec);
-
-  // The armed Status comes back with its code intact (not wrapped in
-  // Internal) because the build site is a HEF_FAULT_POINT_STATUS.
-  const Result<QueryResult> r =
-      engine.Run(QueryId::kQ3_2, exec::QueryContext());
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
-
-  // The failed build must not be cached: with the fault armed but past
-  // its trigger hit, the next Run rebuilds the plan and succeeds.
-  const Result<QueryResult> ok = engine.Run(QueryId::kQ3_2,
-                                            exec::QueryContext());
-  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-  EXPECT_TRUE(ok.value() == RunReferenceQuery(*db_, QueryId::kQ3_2));
-  EXPECT_GE(exec::FaultRegistry::Get().hits("engine.build"), 2u);
-}
-
-TEST_F(EngineFaultTest, MidQueryCancelLeavesPlanCacheConsistent) {
-  const std::uint64_t cancelled0 = Counter("exec.queries_cancelled");
-  SsbEngine engine(*db_, SingleThreadConfig());
-  exec::CancellationToken token;
-  exec::FaultSpec spec;
-  spec.action = exec::FaultAction::kCancel;
-  spec.token = &token;
-  spec.trigger_hit = 2;  // cancel after the scan is already under way
-  exec::FaultRegistry::Get().Arm("engine.morsel", spec);
-
-  exec::QueryContext ctx;
-  ctx.set_token(&token);
-  const Result<QueryResult> r = engine.Run(QueryId::kQ4_1, ctx);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
-  EXPECT_EQ(Counter("exec.queries_cancelled"), cancelled0 + 1);
-
-  // The plan cached by the cancelled run must serve the retry with a
-  // bit-identical full result — no partial state leaked into the entry.
-  exec::FaultRegistry::Get().DisarmAll();
-  token.Reset();
-  const Result<QueryResult> retry = engine.Run(QueryId::kQ4_1, ctx);
-  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
-  EXPECT_TRUE(retry.value() == RunReferenceQuery(*db_, QueryId::kQ4_1));
-}
-
-TEST_F(EngineFaultTest, PreCancelledContextRejectedBeforeExecution) {
-  SsbEngine engine(*db_, SingleThreadConfig());
-  exec::CancellationToken token;
-  token.Cancel();
-  exec::QueryContext ctx;
-  ctx.set_token(&token);
-  const Result<QueryResult> r = engine.Run(QueryId::kQ1_2, ctx);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
-}
-
 TEST_F(EngineFaultTest, DeadlineHonouredWithinTwiceTheBudget) {
   const std::uint64_t deadline0 = Counter("exec.queries_deadline_exceeded");
   SsbEngine engine(*db_, SingleThreadConfig());
@@ -329,34 +271,183 @@ TEST_F(EngineFaultTest, DeadlineHonouredWithinTwiceTheBudget) {
   EXPECT_EQ(Counter("exec.queries_deadline_exceeded"), deadline0 + 1);
 }
 
-TEST_F(EngineFaultTest, RetryAfterFaultIsBitIdentical) {
+TEST_F(EngineFaultTest, LegacyRunUnaffectedByDisarmedRegistry) {
+  // The abort-on-error wrapper still works after a fault storm.
   SsbEngine engine(*db_, SingleThreadConfig());
-  const QueryResult want = RunReferenceQuery(*db_, QueryId::kQ3_1);
+  const QueryResult r = engine.Run(QueryId::kQ2_3);
+  EXPECT_TRUE(r == RunReferenceQuery(*db_, QueryId::kQ2_3));
+}
+
+// --- the shared query shell's contract, on both engines ----------------
+
+template <typename Engine>
+struct EngineKind;
+template <>
+struct EngineKind<SsbEngine> {
+  using Config = EngineConfig;
+  static constexpr const char* kBuildSite = "engine.build";
+  static constexpr const char* kMorselSite = "engine.morsel";
+};
+template <>
+struct EngineKind<VoilaEngine> {
+  using Config = VoilaConfig;
+  static constexpr const char* kBuildSite = "voila.build";
+  static constexpr const char* kMorselSite = "voila.morsel";
+};
+
+template <typename Engine>
+std::unique_ptr<Engine> SingleThreadEngine(const ssb::SsbDatabase& db) {
+  typename EngineKind<Engine>::Config cfg;
+  cfg.threads = 1;
+  return std::make_unique<Engine>(db, cfg);
+}
+
+template <typename Engine>
+void CheckBuildErrorPropagatesAndCacheRetries(const ssb::SsbDatabase& db) {
+  auto engine = SingleThreadEngine<Engine>(db);
+  const char* site = EngineKind<Engine>::kBuildSite;
+  exec::FaultSpec spec;
+  spec.action = exec::FaultAction::kError;
+  spec.status = Status::IoError("injected build failure");
+  exec::FaultRegistry::Get().Arm(site, spec);
+
+  // The armed Status comes back with its code intact (not wrapped in
+  // Internal) because the build site is a HEF_FAULT_POINT_STATUS.
+  const Result<QueryResult> r =
+      engine->Run(QueryId::kQ3_2, exec::QueryContext());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+
+  // The failed build must not be cached: with the fault armed but past
+  // its trigger hit, the next Run rebuilds the plan and succeeds.
+  const Result<QueryResult> ok =
+      engine->Run(QueryId::kQ3_2, exec::QueryContext());
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_TRUE(ok.value() == RunReferenceQuery(db, QueryId::kQ3_2));
+  EXPECT_GE(exec::FaultRegistry::Get().hits(site), 2u);
+}
+
+template <typename Engine>
+void CheckMidQueryCancelLeavesPlanCacheConsistent(
+    const ssb::SsbDatabase& db) {
+  const std::uint64_t cancelled0 = Counter("exec.queries_cancelled");
+  auto engine = SingleThreadEngine<Engine>(db);
+  exec::CancellationToken token;
+  exec::FaultSpec spec;
+  spec.action = exec::FaultAction::kCancel;
+  spec.token = &token;
+  spec.trigger_hit = 2;  // cancel after the scan is already under way
+  exec::FaultRegistry::Get().Arm(EngineKind<Engine>::kMorselSite, spec);
+
+  exec::QueryContext ctx;
+  ctx.set_token(&token);
+  const Result<QueryResult> r = engine->Run(QueryId::kQ4_1, ctx);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(Counter("exec.queries_cancelled"), cancelled0 + 1);
+
+  // The plan cached by the cancelled run must serve the retry with a
+  // bit-identical full result — no partial state leaked into the entry.
+  exec::FaultRegistry::Get().DisarmAll();
+  token.Reset();
+  const Result<QueryResult> retry = engine->Run(QueryId::kQ4_1, ctx);
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  EXPECT_TRUE(retry.value().plan_cache_hit);
+  EXPECT_TRUE(retry.value() == RunReferenceQuery(db, QueryId::kQ4_1));
+}
+
+template <typename Engine>
+void CheckPreCancelledContextRejectedBeforeExecution(
+    const ssb::SsbDatabase& db) {
+  auto engine = SingleThreadEngine<Engine>(db);
+  exec::CancellationToken token;
+  token.Cancel();
+  exec::QueryContext ctx;
+  ctx.set_token(&token);
+  const Result<QueryResult> r = engine->Run(QueryId::kQ1_2, ctx);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+}
+
+template <typename Engine>
+void CheckRetryAfterFaultIsBitIdentical(const ssb::SsbDatabase& db) {
+  auto engine = SingleThreadEngine<Engine>(db);
+  const QueryResult want = RunReferenceQuery(db, QueryId::kQ3_1);
 
   exec::FaultSpec spec;
   spec.action = exec::FaultAction::kThrow;
   spec.trigger_hit = 3;
-  exec::FaultRegistry::Get().Arm("engine.morsel", spec);
+  exec::FaultRegistry::Get().Arm(EngineKind<Engine>::kMorselSite, spec);
   const Result<QueryResult> failed =
-      engine.Run(QueryId::kQ3_1, exec::QueryContext());
+      engine->Run(QueryId::kQ3_1, exec::QueryContext());
   ASSERT_FALSE(failed.ok());
 
   exec::FaultRegistry::Get().DisarmAll();
-  const Result<QueryResult> a = engine.Run(QueryId::kQ3_1,
-                                           exec::QueryContext());
-  const Result<QueryResult> b = engine.Run(QueryId::kQ3_1,
-                                           exec::QueryContext());
+  const Result<QueryResult> a =
+      engine->Run(QueryId::kQ3_1, exec::QueryContext());
+  const Result<QueryResult> b =
+      engine->Run(QueryId::kQ3_1, exec::QueryContext());
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_TRUE(a.value() == want);
   EXPECT_TRUE(b.value() == want);
 }
 
-TEST_F(EngineFaultTest, LegacyRunUnaffectedByDisarmedRegistry) {
-  // The abort-on-error wrapper still works after a fault storm.
-  SsbEngine engine(*db_, SingleThreadConfig());
-  const QueryResult r = engine.Run(QueryId::kQ2_3);
-  EXPECT_TRUE(r == RunReferenceQuery(*db_, QueryId::kQ2_3));
+// Every error carries " [trace=<16 hex>]", naming the caller's trace id
+// when it supplied one.
+template <typename Engine>
+void CheckErrorCarriesTraceSuffix(const ssb::SsbDatabase& db) {
+  auto engine = SingleThreadEngine<Engine>(db);
+  exec::QueryContext ctx = exec::QueryContext::WithDeadline(0);
+  ctx.set_trace_id(0x5EED);
+  const Result<QueryResult> r = engine->Run(QueryId::kQ2_1, ctx);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  const std::string suffix = " [trace=0000000000005eed]";
+  const std::string& message = r.status().message();
+  ASSERT_GE(message.size(), suffix.size()) << message;
+  EXPECT_EQ(message.substr(message.size() - suffix.size()), suffix)
+      << message;
+}
+
+TEST_F(EngineFaultTest, BuildErrorPropagatesAndCacheRetries) {
+  CheckBuildErrorPropagatesAndCacheRetries<SsbEngine>(*db_);
+}
+
+TEST_F(EngineFaultTest, VoilaBuildErrorPropagatesAndCacheRetries) {
+  CheckBuildErrorPropagatesAndCacheRetries<VoilaEngine>(*db_);
+}
+
+TEST_F(EngineFaultTest, MidQueryCancelLeavesPlanCacheConsistent) {
+  CheckMidQueryCancelLeavesPlanCacheConsistent<SsbEngine>(*db_);
+}
+
+TEST_F(EngineFaultTest, VoilaMidQueryCancelLeavesPlanCacheConsistent) {
+  CheckMidQueryCancelLeavesPlanCacheConsistent<VoilaEngine>(*db_);
+}
+
+TEST_F(EngineFaultTest, PreCancelledContextRejectedBeforeExecution) {
+  CheckPreCancelledContextRejectedBeforeExecution<SsbEngine>(*db_);
+}
+
+TEST_F(EngineFaultTest, VoilaPreCancelledContextRejectedBeforeExecution) {
+  CheckPreCancelledContextRejectedBeforeExecution<VoilaEngine>(*db_);
+}
+
+TEST_F(EngineFaultTest, RetryAfterFaultIsBitIdentical) {
+  CheckRetryAfterFaultIsBitIdentical<SsbEngine>(*db_);
+}
+
+TEST_F(EngineFaultTest, VoilaRetryAfterFaultIsBitIdentical) {
+  CheckRetryAfterFaultIsBitIdentical<VoilaEngine>(*db_);
+}
+
+TEST_F(EngineFaultTest, ErrorCarriesTraceSuffix) {
+  CheckErrorCarriesTraceSuffix<SsbEngine>(*db_);
+}
+
+TEST_F(EngineFaultTest, VoilaErrorCarriesTraceSuffix) {
+  CheckErrorCarriesTraceSuffix<VoilaEngine>(*db_);
 }
 
 // --- voila engine mirrors the contract --------------------------------

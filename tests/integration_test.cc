@@ -100,14 +100,12 @@ TEST(WorkflowTest, TuneCacheConfigureRunEndToEnd) {
 }
 
 TEST(EngineFuzzTest, AllStrategiesCombinedStillCorrect) {
-  // Every optional strategy at once: bloom pre-filter + fused filters +
-  // vectorized aggregation + 4 worker threads, across all queries.
+  // Every optional strategy at once: bloom pre-filter + the hybrid
+  // flavour's fused filters + 4 worker threads, across all queries.
   const ssb::SsbDatabase db = ssb::SsbDatabase::Generate(0.01, 12);
   EngineConfig config;
   config.flavor = Flavor::kHybrid;
   config.bloom_prefilter = true;
-  config.fused_filters = true;
-  config.vectorized_agg = true;
   config.threads = 4;
   SsbEngine engine(db, config);
   for (const QueryId query : AllQueries()) {

@@ -1,5 +1,5 @@
 // Tests for the bitmap selection-scan operators and their integration as
-// the engine's fused-filter strategy.
+// the vector flavours' filter strategy.
 
 #include <gtest/gtest.h>
 
@@ -82,6 +82,9 @@ TEST(BitmapOpsTest, EmptyAndFullBitmaps) {
   EXPECT_EQ(BitmapToPositions(bitmap.data(), n, pos.data()), n);
 }
 
+// The engine picks the filter path from the flavour: the vector flavours
+// scan every predicate as a bitmap and conjoin once, the scalar flavour
+// compacts after each predicate.
 TEST(FusedFiltersTest, AllQ1QueriesMatchReference) {
   const ssb::SsbDatabase db = ssb::SsbDatabase::Generate(0.02, 7);
   for (const QueryId query :
@@ -91,7 +94,6 @@ TEST(FusedFiltersTest, AllQ1QueriesMatchReference) {
          {Flavor::kScalar, Flavor::kSimd, Flavor::kHybrid}) {
       EngineConfig config;
       config.flavor = flavor;
-      config.fused_filters = true;
       SsbEngine engine(db, config);
       EXPECT_EQ(engine.Run(query), want)
           << QueryName(query) << " " << FlavorName(flavor);
@@ -99,15 +101,41 @@ TEST(FusedFiltersTest, AllQ1QueriesMatchReference) {
   }
 }
 
+TEST(FusedFiltersTest, FlavorChoosesFilterPath) {
+  const ssb::SsbDatabase db = ssb::SsbDatabase::Generate(0.02, 7);
+  for (Flavor flavor : {Flavor::kScalar, Flavor::kSimd, Flavor::kHybrid}) {
+    EngineConfig config;
+    config.flavor = flavor;
+    config.collect_stats = true;
+    SsbEngine engine(db, config);
+    std::vector<OperatorStats> filters;
+    for (const OperatorStats& op :
+         engine.Run(QueryId::kQ1_1).operator_stats) {
+      if (op.name.rfind("filter.", 0) == 0) filters.push_back(op);
+    }
+    ASSERT_GE(filters.size(), 2u);
+    // Fused: every predicate sees every row. Compacting: the second
+    // predicate sees only the first one's survivors.
+    const std::uint64_t want = flavor == Flavor::kScalar
+                                   ? filters[0].rows_out
+                                   : filters[0].rows_in;
+    EXPECT_EQ(filters[1].rows_in, want) << FlavorName(flavor);
+    EXPECT_LT(filters[0].rows_out, filters[0].rows_in) << FlavorName(flavor);
+  }
+}
+
 TEST(FusedFiltersTest, JoinQueriesUnaffected) {
-  // Queries without >= 2 filters take the normal path; results identical.
+  // Queries without >= 2 filters take the compacting path on every
+  // flavour; results identical.
   const ssb::SsbDatabase db = ssb::SsbDatabase::Generate(0.01, 8);
-  EngineConfig config;
-  config.fused_filters = true;
-  SsbEngine engine(db, config);
-  for (const QueryId query : {QueryId::kQ2_1, QueryId::kQ4_3}) {
-    EXPECT_EQ(engine.Run(query), RunReferenceQuery(db, query))
-        << QueryName(query);
+  for (Flavor flavor : {Flavor::kScalar, Flavor::kSimd, Flavor::kHybrid}) {
+    EngineConfig config;
+    config.flavor = flavor;
+    SsbEngine engine(db, config);
+    for (const QueryId query : {QueryId::kQ2_1, QueryId::kQ4_3}) {
+      EXPECT_EQ(engine.Run(query), RunReferenceQuery(db, query))
+          << QueryName(query) << " " << FlavorName(flavor);
+    }
   }
 }
 

@@ -56,7 +56,6 @@
 #include "serve/serve_server.h"
 #include "ssb/chunked_fact.h"
 #include "ssb/database.h"
-#include "storage/encoding.h"
 #include "telemetry/bench_report.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/json_writer.h"
@@ -246,32 +245,22 @@ int CmdQuery(int argc, char** argv) {
   const std::string json_path = flags.GetString("json");
 
   const std::string encoding = flags.GetString("encoding");
-  const bool chunked = encoding != "flat";
-  const bool pruning = flags.GetBool("pruning");
-  storage::EncodingPolicy policy = storage::EncodingPolicy::kAuto;
-  if (chunked &&
-      !storage::EncodingPolicyByName(encoding.c_str(), &policy)) {
-    std::fprintf(stderr,
-                 "--encoding=%s: want flat | auto | plain | dict | for\n",
-                 encoding.c_str());
-    return 1;
-  }
-  if (pruning && !chunked) {
-    std::fprintf(stderr, "--pruning requires a chunked --encoding\n");
+  const auto storage =
+      ResolveStorageFlags(encoding, flags.GetBool("pruning"));
+  if (!storage.ok()) {
+    std::fprintf(stderr, "%s\n", storage.status().message().c_str());
     return 1;
   }
 
   std::printf("%s\n\n", QuerySql(query.value()));
   ssb::SsbDatabase db = ssb::SsbDatabase::Generate(flags.GetDouble("sf"));
-  if (chunked) {
-    ssb::ChunkedFactOptions chunk_options;
-    chunk_options.policy = policy;
-    ssb::EnsureChunked(db, chunk_options);
+  storage.value().EnsureStorage(db);
+  if (storage.value().chunked) {
     std::printf("encoding %s: %zu chunks, %.2fx compression, pruning %s\n",
                 encoding.c_str(), db.chunked->num_chunks(),
                 static_cast<double>(db.chunked->PlainBytes()) /
                     static_cast<double>(db.chunked->EncodedBytes()),
-                pruning ? "on" : "off");
+                storage.value().pruning ? "on" : "off");
   }
 
   EngineConfig hybrid_cfg;
@@ -348,8 +337,7 @@ int CmdQuery(int argc, char** argv) {
   scalar_cfg.collect_stats = stats;
   scalar_cfg.collect_pmu = stats;
   scalar_cfg.threads = threads.value();
-  scalar_cfg.chunked_scan = chunked;
-  scalar_cfg.scan_pruning = pruning;
+  storage.value().ApplyTo(&scalar_cfg);
   SsbEngine scalar_engine(db, scalar_cfg);
   run("scalar", scalar_engine,
       MakeExplainMeta(QueryName(query.value()), "scalar", scalar_cfg));
@@ -358,16 +346,14 @@ int CmdQuery(int argc, char** argv) {
   simd_cfg.collect_stats = stats;
   simd_cfg.collect_pmu = stats;
   simd_cfg.threads = threads.value();
-  simd_cfg.chunked_scan = chunked;
-  simd_cfg.scan_pruning = pruning;
+  storage.value().ApplyTo(&simd_cfg);
   SsbEngine simd_engine(db, simd_cfg);
   run("simd", simd_engine,
       MakeExplainMeta(QueryName(query.value()), "simd", simd_cfg));
   hybrid_cfg.collect_stats = stats;
   hybrid_cfg.collect_pmu = stats;
   hybrid_cfg.threads = threads.value();
-  hybrid_cfg.chunked_scan = chunked;
-  hybrid_cfg.scan_pruning = pruning;
+  storage.value().ApplyTo(&hybrid_cfg);
   SsbEngine hybrid_engine(db, hybrid_cfg);
   run("hybrid", hybrid_engine,
       MakeExplainMeta(QueryName(query.value()), "hybrid", hybrid_cfg));
@@ -870,35 +856,22 @@ int CmdServe(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", threads.status().ToString().c_str());
     return 1;
   }
-  const std::string encoding = flags.GetString("encoding");
-  const bool chunked = encoding != "flat";
-  storage::EncodingPolicy policy = storage::EncodingPolicy::kAuto;
-  if (chunked &&
-      !storage::EncodingPolicyByName(encoding.c_str(), &policy)) {
-    std::fprintf(stderr,
-                 "--encoding=%s: want flat | auto | plain | dict | for\n",
-                 encoding.c_str());
-    return 1;
-  }
-  if (flags.GetBool("pruning") && !chunked) {
-    std::fprintf(stderr, "--pruning requires a chunked --encoding\n");
+  const auto storage = ResolveStorageFlags(flags.GetString("encoding"),
+                                           flags.GetBool("pruning"));
+  if (!storage.ok()) {
+    std::fprintf(stderr, "%s\n", storage.status().message().c_str());
     return 1;
   }
 
   std::fprintf(stderr, "generating SSB database at sf=%g...\n",
                flags.GetDouble("sf"));
   ssb::SsbDatabase db = ssb::SsbDatabase::Generate(flags.GetDouble("sf"));
-  if (chunked) {
-    ssb::ChunkedFactOptions chunk_options;
-    chunk_options.policy = policy;
-    ssb::EnsureChunked(db, chunk_options);
-  }
+  storage.value().EnsureStorage(db);
 
   serve::ServeConfig config;
   config.engine.flavor = flavor.value();
   config.engine.threads = threads.value();
-  config.engine.chunked_scan = chunked;
-  config.engine.scan_pruning = flags.GetBool("pruning");
+  storage.value().ApplyTo(&config.engine);
   config.admission.executors =
       static_cast<int>(flags.GetInt64("executors"));
   config.admission.queue_limit =
