@@ -1,7 +1,7 @@
 // Serving-throughput harness: replays an SSB query mix round-robin for a
 // fixed wall-clock duration and reports queries/sec plus latency
 // percentiles — the workload the execution runtime (persistent TaskPool,
-// work-stealing morsel scheduler, plan cache) exists for.
+// shared-cursor morsel dispatch, plan cache) exists for.
 //
 //   ssb_throughput --sf=1 --duration=10                  # warm plan cache
 //   ssb_throughput --sf=1 --duration=10 --cold_plans     # rebuild per run
@@ -13,8 +13,8 @@
 // --cold_plans invalidates the plan cache before every query, reproducing
 // the pre-runtime behaviour (every Run rebuilds dimension hash tables and
 // Bloom filters); the warm/cold qps ratio is the plan cache's payoff.
-// Scheduler counters (exec.morsels_dispatched, exec.steals, ...) land in
-// the --json report's metrics dump.
+// Scheduler counters (exec.morsels_dispatched, exec.morsel_yields, ...)
+// land in the --json report's metrics dump.
 //
 // The replay loop exercises the serving contract: every query runs
 // through the fallible Run overload under an optional per-query deadline
@@ -416,7 +416,6 @@ int Main(int argc, char** argv) {
   auto& registry = telemetry::MetricsRegistry::Get();
   const std::uint64_t morsels0 =
       registry.counter("exec.morsels_dispatched").value();
-  const std::uint64_t steals0 = registry.counter("exec.steals").value();
 
   const std::string profile_path = flags.GetString("profile");
   if (!profile_path.empty()) {
@@ -520,8 +519,6 @@ int Main(int argc, char** argv) {
 
   const std::uint64_t morsels =
       registry.counter("exec.morsels_dispatched").value() - morsels0;
-  const std::uint64_t steals =
-      registry.counter("exec.steals").value() - steals0;
   const auto pool_threads =
       static_cast<int>(registry.gauge("exec.pool_threads").value());
 
@@ -605,7 +602,6 @@ int Main(int argc, char** argv) {
       .Set("failed", n_failed)
       .Set("retries", n_retries)
       .Set("morsels_dispatched", morsels)
-      .Set("steals", steals)
       .Set("pool_threads", pool_threads);
 
   std::printf("\n%s\n", table.ToString().c_str());
@@ -620,10 +616,8 @@ int Main(int argc, char** argv) {
   std::printf("latency: p50 %.2f ms, p95 %.2f ms, p99 %.2f ms, "
               "p999 %.2f ms\n",
               p50, p95, p99, p999);
-  std::printf("scheduler: %llu morsels dispatched, %llu steals, %d pool "
-              "threads\n",
-              static_cast<unsigned long long>(morsels),
-              static_cast<unsigned long long>(steals), pool_threads);
+  std::printf("scheduler: %llu morsels dispatched, %d pool threads\n",
+              static_cast<unsigned long long>(morsels), pool_threads);
   {
     DriftMonitor& drift = DriftMonitor::Get();
     std::printf("drift: %llu detections, %llu keys currently drifted\n",

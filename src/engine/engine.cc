@@ -11,7 +11,6 @@
 #include "engine/query_shell.h"
 #include "engine/scan.h"
 #include "engine/star_plan.h"
-#include "exec/fault_injection.h"
 #include "perf/drift_monitor.h"
 #include "perf/perf_counters.h"
 #include "ssb/chunked_fact.h"
@@ -43,7 +42,7 @@ struct SsbEngine::Impl {
     // Chunked scan: one decoded-block buffer per distinct plan column
     // (at most 4 joins + 2 values, or 3 filters + 2 values) plus the
     // decode kernels' iota/staging scratch. Allocated lazily on the
-    // first chunked ExecuteRange, so flat-scan engines pay nothing.
+    // first chunked Run, so flat-scan engines pay nothing.
     std::array<AlignedBuffer<std::uint64_t>, 8> decoded;
     storage::DecodeScratch decode_scratch;
 
@@ -65,12 +64,14 @@ struct SsbEngine::Impl {
   Buffers main_buffers;
 
   // Per-plan extras beside the bound plan: the Bloom filters, and the
-  // chunk-pruning verdicts (empty unless chunked_scan && scan_pruning).
-  // Both are fixed per query, so cache hits skip building them too.
+  // chunk-pruning verdicts with the blocks of the alive chunks (both empty
+  // unless chunked_scan && scan_pruning). All are fixed per query, so
+  // cache hits skip building them too.
   struct Extras {
     std::vector<std::unique_ptr<BloomFilter>> blooms;
     std::uint64_t bloom_nanos = 0;
     ChunkPruning pruning;
+    std::vector<std::uint32_t> live_blocks;
   };
   using Entry = PlanEntry<Extras>;
 
@@ -121,73 +122,92 @@ struct SsbEngine::Impl {
         db.chunked != nullptr) {
       HEF_TRACE_SPAN("engine.prune");
       extras.pruning = ComputeChunkPruning(db, bound.plan, QueryName(id));
+      // chunk_rows % block_size == 0 (validated in TryRun), so a block
+      // maps to exactly one chunk.
+      const auto block = static_cast<std::size_t>(config.block_size);
+      const std::size_t chunk_rows = db.chunked->chunk_rows();
+      for (std::size_t b0 = 0; b0 < db.chunked->rows(); b0 += block) {
+        if (extras.pruning.alive[b0 / chunk_rows]) {
+          extras.live_blocks.push_back(static_cast<std::uint32_t>(b0 / block));
+        }
+      }
     }
     return extras;
   }
 
-  // Runs the pipeline over fact rows [row_begin, row_end), accumulating
-  // into `acc` (group sums sized plan.gid_domain).
+  // A plan column the chunked scan decodes: its flat column (the lookup
+  // key), its chunked shadow, and the thread's decoded-block buffer.
+  struct DecodedCol {
+    const ssb::Column* flat = nullptr;
+    const storage::ChunkedColumn* col = nullptr;
+    std::uint64_t* data = nullptr;
+    bool ready = false;
+  };
+
+  // One executing thread's per-Run scan state, set up once before its
+  // first block: its buffers and PMU group, the kernel coordinates the
+  // flavour resolves to, and (chunked scan) each distinct plan column
+  // resolved to its chunked shadow and paired with a decoded-block buffer.
+  struct ScanThread {
+    Buffers& buf;
+    const PerfCounters* pmu;
+    HybridConfig probe_cfg, gather_cfg, decode_cfg;
+    const ssb::ChunkedFact* chunked = nullptr;
+    std::array<DecodedCol, 8> dcols{};
+    std::size_t n_dcols = 0;
+  };
+
+  ScanThread PrepareScan(const StarPlan& plan, Buffers& buf,
+                         const PerfCounters* pmu) const {
+    ScanThread t{buf, pmu, config.ProbeConfig(), config.GatherConfig(),
+                 config.DecodeConfig()};
+    t.chunked = config.chunked_scan ? db.chunked.get() : nullptr;
+    if (t.chunked == nullptr) return t;
+    const auto block = static_cast<std::size_t>(config.block_size);
+    auto add = [&](const ssb::Column* flat) {
+      if (flat == nullptr) return;
+      for (std::size_t i = 0; i < t.n_dcols; ++i) {
+        if (t.dcols[i].flat == flat) return;
+      }
+      const storage::ChunkedColumn* col = t.chunked->Find(flat);
+      HEF_CHECK_MSG(col != nullptr,
+                    "chunked scan: plan column is not a fact column");
+      HEF_CHECK_MSG(t.n_dcols < t.dcols.size(),
+                    "chunked scan: too many distinct plan columns");
+      if (buf.decoded[t.n_dcols].capacity() < block) {
+        buf.decoded[t.n_dcols].Allocate(block, 64);
+      }
+      t.dcols[t.n_dcols] = {flat, col, buf.decoded[t.n_dcols].data(), false};
+      ++t.n_dcols;
+    };
+    for (const RangeFilter& f : plan.filters) add(f.col);
+    for (const JoinStage& j : plan.joins) add(j.fact_key);
+    add(plan.value_a);
+    add(plan.value_b);
+    buf.decode_scratch.EnsureCapacity(block);
+    return t;
+  }
+
+  // Runs the pipeline over the `bn` fact rows of the block at row b0,
+  // accumulating into `acc` (group sums sized plan.gid_domain).
   //
   // When acc.ops is non-empty, per-operator wall time / row counts are
   // accumulated into it (layout: filters, then probes, then group-by); a
-  // non-null `pmu` additionally brackets every operator with group reads
+  // non-null t.pmu additionally brackets every operator with group reads
   // so counter deltas attribute to operators. Both off on the default
   // path, which then pays nothing beyond a branch per operator per block.
-  void ExecuteRange(const StarPlan& plan,
+  void ExecuteBlock(const StarPlan& plan,
                     const std::vector<std::unique_ptr<BloomFilter>>& blooms,
-                    Buffers& buf, std::size_t row_begin,
-                    std::size_t row_end, BlockAccumulator& acc,
-                    const PerfCounters* pmu,
-                    telemetry::Histogram* block_rows_hist,
-                    const exec::QueryContext* ctx,
-                    const std::vector<std::uint8_t>* chunk_alive) {
-    const HybridConfig probe_cfg = config.ProbeConfig();
-    const HybridConfig gather_cfg = config.GatherConfig();
-    const HybridConfig decode_cfg = config.DecodeConfig();
+                    ScanThread& t, std::size_t b0, std::size_t bn,
+                    BlockAccumulator& acc,
+                    telemetry::Histogram* block_rows_hist) const {
+    const HybridConfig& probe_cfg = t.probe_cfg;
+    const HybridConfig& gather_cfg = t.gather_cfg;
     const Flavor flavor = config.flavor;
-    const auto block = static_cast<std::size_t>(config.block_size);
+    const PerfCounters* pmu = t.pmu;
+    Buffers& buf = t.buf;
     std::vector<std::uint64_t>& agg = acc.agg;
     std::vector<std::uint64_t>& cnt = acc.cnt;
-
-    // Chunked scan: resolve each distinct plan column to its chunked
-    // shadow once, and pair it with a decoded-block buffer. Inside the
-    // block loop `column_base` decodes a column's block on first touch —
-    // columns a filter chain already killed the block for never decode.
-    const ssb::ChunkedFact* chunked =
-        config.chunked_scan ? db.chunked.get() : nullptr;
-    struct DecodedCol {
-      const ssb::Column* flat = nullptr;
-      const storage::ChunkedColumn* col = nullptr;
-      std::uint64_t* data = nullptr;
-      bool ready = false;
-    };
-    std::array<DecodedCol, 8> dcols;
-    std::size_t n_dcols = 0;
-    const std::size_t chunk_rows =
-        chunked != nullptr ? chunked->chunk_rows() : 0;
-    if (chunked != nullptr) {
-      auto add = [&](const ssb::Column* flat) {
-        if (flat == nullptr) return;
-        for (std::size_t i = 0; i < n_dcols; ++i) {
-          if (dcols[i].flat == flat) return;
-        }
-        const storage::ChunkedColumn* col = chunked->Find(flat);
-        HEF_CHECK_MSG(col != nullptr,
-                      "chunked scan: plan column is not a fact column");
-        HEF_CHECK_MSG(n_dcols < dcols.size(),
-                      "chunked scan: too many distinct plan columns");
-        if (buf.decoded[n_dcols].capacity() < block) {
-          buf.decoded[n_dcols].Allocate(block, 64);
-        }
-        dcols[n_dcols] = {flat, col, buf.decoded[n_dcols].data(), false};
-        ++n_dcols;
-      };
-      for (const RangeFilter& f : plan.filters) add(f.col);
-      for (const JoinStage& j : plan.joins) add(j.fact_key);
-      add(plan.value_a);
-      add(plan.value_b);
-      buf.decode_scratch.EnsureCapacity(block);
-    }
 
     auto& rows = buf.rows;
     auto& keys = buf.keys;
@@ -199,8 +219,6 @@ struct SsbEngine::Impl {
     auto& bitmap_a = buf.bitmap_a;
     auto& bitmap_b = buf.bitmap_b;
     auto& payloads = buf.payloads;
-
-    std::uint64_t qualifying = 0;
 
     // Operator-window bracketing. op_begin/op_end cost nothing (one
     // predictable branch) when stats are off; with stats they read the
@@ -247,199 +265,178 @@ struct SsbEngine::Impl {
     const bool fused_filters =
         flavor != Flavor::kScalar && plan.filters.size() >= 2;
 
-    // Payload slots probed so far in the current block (schema-order slot
-    // ids; probe order may differ after the selectivity sort).
+    // Payload slots probed so far (schema-order slot ids; probe order may
+    // differ after the selectivity sort).
     std::array<int, 4> probed_slots{};
     int probed_count = 0;
+    std::size_t n = bn;
+    bool identity = true;  // rows == [0, n), block-local
+    for (std::size_t i = 0; i < t.n_dcols; ++i) t.dcols[i].ready = false;
 
-    for (std::size_t b0 = row_begin; b0 < row_end; b0 += block) {
-      // Block boundary = cancellation granularity (and the fault site the
-      // robustness tests use to stop, stall, or blow up mid-query). Also
-      // the preemption point: yield to higher-priority queries before
-      // starting another block.
-      if (ctx != nullptr) {
-        if (HEF_UNLIKELY(ctx->ShouldYield())) ctx->YieldWhilePreempted();
-        if (HEF_UNLIKELY(ctx->ShouldStop())) break;
+    // Base pointer of a fact column for this block: flat data at b0,
+    // or the block decoded from the chunked shadow on first touch.
+    // Row ids are block-local, so every downstream gather works off
+    // this base regardless of the storage layout.
+    auto column_base = [&](const ssb::Column& col)
+        -> const std::uint64_t* {
+      if (t.chunked == nullptr) return col.data() + b0;
+      for (std::size_t i = 0; i < t.n_dcols; ++i) {
+        DecodedCol& d = t.dcols[i];
+        if (d.flat != &col) continue;
+        if (!d.ready) {
+          d.col->DecodeRange(t.decode_cfg, b0, bn, buf.decode_scratch,
+                             d.data);
+          d.ready = true;
+        }
+        return d.data;
       }
-      HEF_FAULT_POINT("engine.morsel");
-      // Zone-map verdict: a dead chunk's blocks never decode, scan, or
-      // probe anything. chunk_rows % block == 0 (validated in TryRun),
-      // so a block maps to exactly one chunk.
-      if (chunk_alive != nullptr && !(*chunk_alive)[b0 / chunk_rows]) {
-        continue;
-      }
-      const std::size_t bn = std::min(block, row_end - b0);
-      std::size_t n = bn;
-      bool identity = true;  // rows == [0, n), block-local
-      probed_count = 0;
-      for (std::size_t i = 0; i < n_dcols; ++i) dcols[i].ready = false;
+      HEF_CHECK_MSG(false, "column not registered for chunked scan");
+      __builtin_unreachable();
+    };
 
-      // Base pointer of a fact column for this block: flat data at b0,
-      // or the block decoded from the chunked shadow on first touch.
-      // Row ids are block-local, so every downstream gather works off
-      // this base regardless of the storage layout.
-      auto column_base = [&](const ssb::Column& col)
-          -> const std::uint64_t* {
-        if (chunked == nullptr) return col.data() + b0;
-        for (std::size_t i = 0; i < n_dcols; ++i) {
-          DecodedCol& d = dcols[i];
-          if (d.flat != &col) continue;
-          if (!d.ready) {
-            d.col->DecodeRange(decode_cfg, b0, bn, buf.decode_scratch,
-                               d.data);
-            d.ready = true;
-          }
-          return d.data;
-        }
-        HEF_CHECK_MSG(false, "column not registered for chunked scan");
-        __builtin_unreachable();
-      };
-
-      // Applies the survivor positions in pos[0..m) to the row-id vector
-      // and all live payload vectors.
-      auto apply_selection = [&](std::size_t m) {
-        if (identity) {
-          for (std::size_t i = 0; i < m; ++i) rows[i] = pos[i];
-          identity = false;
-        } else {
-          GatherArray(gather_cfg, rows.data(), pos.data(), scratch.data(),
-                      m);
-          std::swap(rows, scratch);
-        }
-        for (int k = 0; k < probed_count; ++k) {
-          auto& payload = payloads[probed_slots[k]];
-          GatherArray(gather_cfg, payload.data(), pos.data(),
-                      scratch.data(), m);
-          std::swap(payload, scratch);
-        }
-        n = m;
-      };
-
-      // Fetches a fact column for the current selection.
-      auto fetch = [&](const ssb::Column& col,
-                       AlignedBuffer<std::uint64_t>& out)
-          -> const std::uint64_t* {
-        const std::uint64_t* base = column_base(col);
-        if (identity) return base;
-        GatherArray(gather_cfg, base, rows.data(), out.data(), n);
-        return out.data();
-      };
-
-      // Range filters: either evaluate all predicates as bitmaps and
-      // conjoin once (fused selection scans) or compact after every
-      // predicate (the vectorized-pipeline default).
-      if (fused_filters) {
-        // Filters precede joins in every plan, so the selection is still
-        // the identity here and columns can be scanned in place.
-        std::size_t live = 0;
-        std::size_t last_fi = 0;
-        for (std::size_t fi = 0; fi < plan.filters.size(); ++fi) {
-          const RangeFilter& f = plan.filters[fi];
-          op_begin();
-          std::uint64_t* target =
-              fi == 0 ? bitmap_a.data() : bitmap_b.data();
-          live = ScanRangeBitmap(flavor, column_base(*f.col), n, f.lo,
-                                 f.hi, target);
-          if (fi > 0) {
-            live = BitmapAnd(bitmap_a.data(), bitmap_b.data(), n);
-          }
-          op_end(fi, n, live);
-          last_fi = fi;
-          if (live == 0) break;
-        }
-        op_begin();
-        const std::size_t m =
-            live == 0 ? 0
-                      : BitmapToPositions(bitmap_a.data(), n, pos.data());
-        apply_selection(m);
-        op_end(last_fi, 0, 0, /*count_call=*/false);
+    // Applies the survivor positions in pos[0..m) to the row-id vector
+    // and all live payload vectors.
+    auto apply_selection = [&](std::size_t m) {
+      if (identity) {
+        for (std::size_t i = 0; i < m; ++i) rows[i] = pos[i];
+        identity = false;
       } else {
-        for (std::size_t fi = 0; fi < plan.filters.size(); ++fi) {
-          const RangeFilter& f = plan.filters[fi];
-          if (n == 0) break;
-          op_begin();
-          const std::uint64_t* v = fetch(*f.col, vals_a);
-          const std::size_t m =
-              CompactInRange(flavor, v, n, f.lo, f.hi, pos.data());
-          const std::size_t in_rows = n;
-          apply_selection(m);
-          op_end(fi, in_rows, n);
-        }
+        GatherArray(gather_cfg, rows.data(), pos.data(), scratch.data(),
+                    m);
+        std::swap(rows, scratch);
       }
+      for (int k = 0; k < probed_count; ++k) {
+        auto& payload = payloads[probed_slots[k]];
+        GatherArray(gather_cfg, payload.data(), pos.data(),
+                    scratch.data(), m);
+        std::swap(payload, scratch);
+      }
+      n = m;
+    };
 
-      // Join probes. The Bloom pre-filter is part of its join's operator
-      // window — the stats row reports the stage's end-to-end cost.
-      for (std::size_t ji = 0; ji < plan.joins.size(); ++ji) {
-        const JoinStage& j = plan.joins[ji];
+    // Fetches a fact column for the current selection.
+    auto fetch = [&](const ssb::Column& col,
+                     AlignedBuffer<std::uint64_t>& out)
+        -> const std::uint64_t* {
+      const std::uint64_t* base = column_base(col);
+      if (identity) return base;
+      GatherArray(gather_cfg, base, rows.data(), out.data(), n);
+      return out.data();
+    };
+
+    // Range filters: either evaluate all predicates as bitmaps and
+    // conjoin once (fused selection scans) or compact after every
+    // predicate (the vectorized-pipeline default).
+    if (fused_filters) {
+      // Filters precede joins in every plan, so the selection is still
+      // the identity here and columns can be scanned in place.
+      std::size_t live = 0;
+      std::size_t last_fi = 0;
+      for (std::size_t fi = 0; fi < plan.filters.size(); ++fi) {
+        const RangeFilter& f = plan.filters[fi];
+        op_begin();
+        std::uint64_t* target =
+            fi == 0 ? bitmap_a.data() : bitmap_b.data();
+        live = ScanRangeBitmap(flavor, column_base(*f.col), n, f.lo,
+                               f.hi, target);
+        if (fi > 0) {
+          live = BitmapAnd(bitmap_a.data(), bitmap_b.data(), n);
+        }
+        op_end(fi, n, live);
+        last_fi = fi;
+        if (live == 0) break;
+      }
+      op_begin();
+      const std::size_t m =
+          live == 0 ? 0
+                    : BitmapToPositions(bitmap_a.data(), n, pos.data());
+      apply_selection(m);
+      op_end(last_fi, 0, 0, /*count_call=*/false);
+    } else {
+      for (std::size_t fi = 0; fi < plan.filters.size(); ++fi) {
+        const RangeFilter& f = plan.filters[fi];
         if (n == 0) break;
         op_begin();
-        const std::size_t in_rows = n;
-        const std::uint64_t* k = fetch(*j.fact_key, keys);
-        if (!blooms.empty()) {
-          // Bloom pre-filter: discard definite misses before the (more
-          // expensive, cache-hungry) hash-table probe.
-          BloomProbeArray(probe_cfg, *blooms[ji], k, bloom_out.data(), n);
-          const std::size_t bm = CompactInRange(flavor, bloom_out.data(),
-                                                n, 1, 1, pos.data());
-          if (bm != n) {
-            apply_selection(bm);
-            if (n == 0) {
-              op_end(probe_acc_base + ji, in_rows, 0);
-              break;
-            }
-            k = fetch(*j.fact_key, keys);
-          }
-        }
-        const int slot = j.payload_slot;
-        HEF_DCHECK(slot >= 0 && slot < 4);
-        ProbeArray(probe_cfg, *j.table, k, payloads[slot].data(), n);
+        const std::uint64_t* v = fetch(*f.col, vals_a);
         const std::size_t m =
-            CompactHits(flavor, payloads[slot].data(), n, pos.data());
-        probed_slots[probed_count++] = slot;  // compacts with the rest
-        if (m != n) {
-          apply_selection(m);
-        }
-        op_end(probe_acc_base + ji, in_rows, n);
+            CompactInRange(flavor, v, n, f.lo, f.hi, pos.data());
+        const std::size_t in_rows = n;
+        apply_selection(m);
+        op_end(fi, in_rows, n);
       }
-      if (stats && block_rows_hist != nullptr) block_rows_hist->Observe(n);
-      if (n == 0) continue;
-      qualifying += n;
-
-      // Measure columns.
-      op_begin();
-      const std::uint64_t* va = fetch(*plan.value_a, vals_a);
-      const std::uint64_t* vb = nullptr;
-      if (plan.value_b != nullptr) {
-        vb = fetch(*plan.value_b, vals_b);
-      }
-
-      // Group-by aggregation: group ids come from the plan's (scalar)
-      // mapping, accumulated by the shared scalar loop.
-      std::array<std::uint64_t, 4> p{};
-      for (std::size_t i = 0; i < n; ++i) {
-        for (int k = 0; k < probed_count; ++k) {
-          const int slot = probed_slots[k];
-          p[slot] = payloads[slot][i];
-        }
-        std::uint64_t value = va[i];
-        switch (plan.value_op) {
-          case ValueOp::kSum:
-            break;
-          case ValueOp::kSumProduct:
-            value *= vb[i];
-            break;
-          case ValueOp::kSumDiff:
-            value -= vb[i];
-            break;
-        }
-        const std::uint64_t g = plan.gid(p);
-        HEF_DCHECK(g < plan.gid_domain);
-        agg[g] += value;
-        cnt[g] += 1;
-      }
-      op_end(groupby_acc, n, n);
     }
-    acc.qualifying += qualifying;
+
+    // Join probes. The Bloom pre-filter is part of its join's operator
+    // window — the stats row reports the stage's end-to-end cost.
+    for (std::size_t ji = 0; ji < plan.joins.size(); ++ji) {
+      const JoinStage& j = plan.joins[ji];
+      if (n == 0) break;
+      op_begin();
+      const std::size_t in_rows = n;
+      const std::uint64_t* k = fetch(*j.fact_key, keys);
+      if (!blooms.empty()) {
+        // Bloom pre-filter: discard definite misses before the (more
+        // expensive, cache-hungry) hash-table probe.
+        BloomProbeArray(probe_cfg, *blooms[ji], k, bloom_out.data(), n);
+        const std::size_t bm = CompactInRange(flavor, bloom_out.data(),
+                                              n, 1, 1, pos.data());
+        if (bm != n) {
+          apply_selection(bm);
+          if (n == 0) {
+            op_end(probe_acc_base + ji, in_rows, 0);
+            break;
+          }
+          k = fetch(*j.fact_key, keys);
+        }
+      }
+      const int slot = j.payload_slot;
+      HEF_DCHECK(slot >= 0 && slot < 4);
+      ProbeArray(probe_cfg, *j.table, k, payloads[slot].data(), n);
+      const std::size_t m =
+          CompactHits(flavor, payloads[slot].data(), n, pos.data());
+      probed_slots[probed_count++] = slot;  // compacts with the rest
+      if (m != n) {
+        apply_selection(m);
+      }
+      op_end(probe_acc_base + ji, in_rows, n);
+    }
+    if (stats && block_rows_hist != nullptr) block_rows_hist->Observe(n);
+    if (n == 0) return;
+    acc.qualifying += n;
+
+    // Measure columns.
+    op_begin();
+    const std::uint64_t* va = fetch(*plan.value_a, vals_a);
+    const std::uint64_t* vb = nullptr;
+    if (plan.value_b != nullptr) {
+      vb = fetch(*plan.value_b, vals_b);
+    }
+
+    // Group-by aggregation: group ids come from the plan's (scalar)
+    // mapping, accumulated by the shared scalar loop.
+    std::array<std::uint64_t, 4> p{};
+    for (std::size_t i = 0; i < n; ++i) {
+      for (int k = 0; k < probed_count; ++k) {
+        const int slot = probed_slots[k];
+        p[slot] = payloads[slot][i];
+      }
+      std::uint64_t value = va[i];
+      switch (plan.value_op) {
+        case ValueOp::kSum:
+          break;
+        case ValueOp::kSumProduct:
+          value *= vb[i];
+          break;
+        case ValueOp::kSumDiff:
+          value -= vb[i];
+          break;
+      }
+      const std::uint64_t g = plan.gid(p);
+      HEF_DCHECK(g < plan.gid_domain);
+      agg[g] += value;
+      cnt[g] += 1;
+    }
+    op_end(groupby_acc, n, n);
   }
 
   // Runs a resolved plan through the shell's block dispatch. Sets
@@ -465,26 +462,31 @@ struct SsbEngine::Impl {
                     "engine.block_qualifying_rows")
               : nullptr;
     const BlockWorker worker = [&](bool inline_path,
-                                   const BlockClaim& claim,
+                                   exec::MorselCursor& cursor,
                                    BlockAccumulator& acc) {
       std::unique_ptr<Buffers> own;
       if (!inline_path) own = std::make_unique<Buffers>(block);
-      Buffers& buffers = inline_path ? main_buffers : *own;
       // perf fds opened with pid=0 follow the opening thread only, so
       // every executing thread opens its own counter group.
       std::unique_ptr<PerfCounters> pmu;
       if (stats && config.collect_pmu) pmu = StartPmu();
-      std::size_t blk_begin = 0;
-      std::size_t blk_end = 0;
-      while (claim(&blk_begin, &blk_end)) {
-        ExecuteRange(plan, extras.blooms, buffers, blk_begin * block,
-                     std::min(total, blk_end * block), acc, pmu.get(),
-                     block_hist, ctx,
-                     pruning != nullptr ? &pruning->alive : nullptr);
+      ScanThread scan =
+          PrepareScan(plan, inline_path ? main_buffers : *own, pmu.get());
+      std::size_t b = 0;
+      while (cursor.Next(&b)) {
+        const std::size_t b0 = b * block;
+        ExecuteBlock(plan, extras.blooms, scan, b0,
+                     std::min(block, total - b0), acc, block_hist);
       }
     };
-    const BlockDispatch dispatch{(total + block - 1) / block, config.threads,
-                                 stats, "engine.pipeline", "engine.worker"};
+    const BlockDispatch dispatch{
+        (total + block - 1) / block,
+        pruning != nullptr ? &extras.live_blocks : nullptr,
+        config.threads,
+        stats,
+        "engine.morsel",
+        "engine.pipeline",
+        "engine.worker"};
     QueryResult result =
         DispatchBlocks(plan, db.lineorder, dispatch, worker, ctx);
 
@@ -530,7 +532,7 @@ struct SsbEngine::Impl {
       ops.insert(ops.begin(), std::move(s));
     }
     registry.counter("engine.queries").Increment();
-    registry.counter("engine.rows_scanned").Increment(total);
+    registry.counter("engine.rows_scanned").Increment(*rows_scanned);
     registry.counter("engine.rows_qualifying")
         .Increment(result.qualifying_rows);
     // Linear-probe displacement of every occupied dimension slot — the

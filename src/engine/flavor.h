@@ -73,11 +73,11 @@ struct EngineConfig {
   // stats when the PMU is unavailable.
   bool collect_pmu = false;
   // Worker threads for the fact scan (morsel parallelism over blocks,
-  // dispatched dynamically from the persistent exec::TaskPool with work
-  // stealing). 0 means "auto": one worker per hardware thread. Results
-  // are bit-identical for any thread count (group sums are commutative).
-  // The paper measures per-core behaviour, so the paper-exhibit
-  // benchmarks pin this to 1.
+  // claimed one at a time from one shared cursor by workers on the
+  // persistent exec::TaskPool). 0 means "auto": one worker per hardware
+  // thread. Results are bit-identical for any thread count (group sums
+  // are commutative). The paper measures per-core behaviour, so the
+  // paper-exhibit benchmarks pin this to 1.
   int threads = 0;
   // Reuse built plans (filtered dimension hash tables + Bloom filters)
   // across repeated Run() calls on the same engine, keyed by QueryId.
@@ -92,17 +92,16 @@ struct EngineConfig {
   bool chunked_scan = false;
   // With chunked_scan: evaluate every chunk's zone map + histogram
   // against the plan's range filters and join key ranges at plan build,
-  // and skip chunks proven empty before morsel dispatch. Results are
+  // and dispatch only the blocks of chunks not proven empty. Results are
   // bit-identical with pruning on or off.
   bool scan_pruning = false;
-  // Coordinates of the chunk-decode kernels (bit-unpack, FoR-add,
-  // dictionary gather) when flavor == kHybrid.
-  HybridConfig decode_cfg{1, 1, 3};
 
-  // The kernel coordinates this engine flavour runs at.
+  // The kernel coordinates this engine flavour runs at. The chunk-decode
+  // kernels (bit-unpack, FoR-add, dictionary gather) run hybrid at the
+  // paper's SSB optimum.
   HybridConfig ProbeConfig() const { return AtFlavor(probe_cfg); }
   HybridConfig GatherConfig() const { return AtFlavor(gather_cfg); }
-  HybridConfig DecodeConfig() const { return AtFlavor(decode_cfg); }
+  HybridConfig DecodeConfig() const { return AtFlavor({1, 1, 3}); }
 
  private:
   // The pure flavours pin every kernel; hybrid runs the tuned point.

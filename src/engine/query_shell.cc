@@ -9,6 +9,7 @@
 #include "exec/runtime.h"
 #include "exec/task_pool.h"
 #include "telemetry/diagnostics.h"
+#include "telemetry/metrics.h"
 #include "telemetry/span.h"
 
 namespace hef {
@@ -181,42 +182,50 @@ QueryResult DispatchBlocks(const StarPlan& plan,
                            const BlockWorker& worker,
                            const exec::QueryContext* ctx) {
   const bool stats = dispatch.collect_stats;
-  const std::size_t blocks = dispatch.total_blocks;
+  const std::vector<std::uint32_t>* live = dispatch.live_blocks;
+  const std::size_t blocks =
+      live != nullptr ? live->size() : dispatch.total_blocks;
+  exec::MorselCursor cursor(blocks, live != nullptr ? live->data() : nullptr,
+                            ctx, dispatch.fault_site);
   BlockAccumulator acc(plan, stats);
-  std::uint64_t morsels = blocks;  // inline path: one per block
   const int threads =
       std::min<int>(exec::ResolveThreads(dispatch.threads),
                     static_cast<int>(blocks == 0 ? 1 : blocks));
+  auto& registry = telemetry::MetricsRegistry::Get();
   if (threads <= 1) {
-    // The whole block space in one claim, with no scheduler.
-    bool claimed = false;
-    const BlockClaim claim = [&](std::size_t* begin, std::size_t* end) {
-      if (claimed) return false;
-      claimed = true;
-      *begin = 0;
-      *end = blocks;
-      return true;
-    };
     std::optional<telemetry::SpanScope> span;
     if (dispatch.inline_span != nullptr) span.emplace(dispatch.inline_span);
-    worker(/*inline_path=*/true, claim, acc);
+    worker(/*inline_path=*/true, cursor, acc);
   } else {
-    // Morsel parallelism over the persistent pool: workers claim
-    // block-aligned morsels dynamically from the scheduler (stealing from
-    // loaded shards when their own drains, so a skewed or preempted worker
-    // no longer serializes the tail).
+    // Every pool worker claims from the one cursor, so a worker stuck on
+    // an expensive block claims fewer while the others drain the rest.
     std::vector<BlockAccumulator> worker_accs(threads, acc);
-    const exec::MorselRunInfo info = exec::RunMorsels(
-        blocks, threads,
-        [&](int t, exec::MorselScheduler& sched) {
-          HEF_TRACE_SPAN(dispatch.worker_span);
-          const BlockClaim claim = [&](std::size_t* begin, std::size_t* end) {
-            return sched.Next(t, begin, end);
-          };
-          worker(/*inline_path=*/false, claim, worker_accs[t]);
-        },
-        ctx);
-    morsels = info.dispatched;
+    std::vector<std::uint64_t> busy_nanos(static_cast<std::size_t>(threads));
+    const std::uint64_t wall_t0 = MonotonicNanos();
+    exec::TaskPool::Get().Run(threads, [&](int t) {
+      HEF_TRACE_SPAN(dispatch.worker_span);
+      const std::uint64_t t0 = MonotonicNanos();
+      // A throwing worker stops the cursor before the pool captures the
+      // exception, so the surviving workers stop claiming blocks and the
+      // error reaches the caller quickly.
+      try {
+        worker(/*inline_path=*/false, cursor, worker_accs[t]);
+      } catch (...) {
+        cursor.Stop();
+        throw;
+      }
+      busy_nanos[t] = MonotonicNanos() - t0;
+    });
+    const std::uint64_t wall = MonotonicNanos() - wall_t0;
+    std::uint64_t busy_total = 0;
+    for (const std::uint64_t b : busy_nanos) busy_total += b;
+    registry.counter("exec.morsels_dispatched").Increment(cursor.dispatched());
+    registry.gauge("exec.pool_threads")
+        .Set(static_cast<double>(exec::TaskPool::Get().spawned_threads()));
+    registry.gauge("exec.worker_busy_fraction")
+        .Set(wall == 0 ? 1.0
+                       : static_cast<double>(busy_total) /
+                             (static_cast<double>(wall) * threads));
     for (const BlockAccumulator& w : worker_accs) {
       acc.qualifying += w.qualifying;
       for (std::size_t g = 0; g < plan.gid_domain; ++g) {
@@ -228,10 +237,13 @@ QueryResult DispatchBlocks(const StarPlan& plan,
       }
     }
   }
+  if (cursor.yields() > 0) {
+    registry.counter("exec.morsel_yields").Increment(cursor.yields());
+  }
 
   QueryResult result;
   result.qualifying_rows = acc.qualifying;
-  result.morsels = morsels;
+  result.morsels = cursor.dispatched();
   if (stats) {
     auto& ops = result.operator_stats;
     ops.reserve(acc.ops.size() + 2);  // + the engine's build rows

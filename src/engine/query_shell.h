@@ -22,6 +22,7 @@
 #include "engine/result.h"
 #include "engine/star_plan.h"
 #include "exec/fault_injection.h"
+#include "exec/morsel.h"
 #include "exec/plan_cache.h"
 #include "exec/query_context.h"
 #include "perf/perf_counters.h"
@@ -106,8 +107,8 @@ class QueryShell {
   // Resolves the plan and runs `execute` on it. A cache hit reuses the
   // dimension hash tables and extras an earlier Run built, and the "build"
   // row then reports the (tiny) lookup cost; with the cache off every Run
-  // builds fresh. A failed build is never cached. A stop mid-run exits the
-  // kernel loops without an error, so the context is checked again after
+  // builds fresh. A failed build is never cached. A stop mid-run ends block
+  // dispatch without an error, so the context is checked again after
   // execution: a partial result must not look like a complete one.
   Result<QueryResult> Execute(
       QueryId id, const exec::QueryContext& ctx,
@@ -197,31 +198,34 @@ struct BlockAccumulator {
   BlockAccumulator(const StarPlan& plan, bool stats);
 };
 
-// Claims the executing thread's next blocks [*begin, *end); false once
-// nothing is left.
-using BlockClaim = std::function<bool(std::size_t* begin, std::size_t* end)>;
-
-// Runs once per executing thread. `inline_path` is true when the calling
-// thread runs alone, so the engine may use its own long-lived scratch;
-// pool workers allocate their own.
+// Runs once per executing thread: sets up the thread's private state, then
+// runs one block per `cursor.Next(&block)` until it returns false.
+// `inline_path` is true when the calling thread runs alone, so the engine
+// may use its own long-lived scratch; pool workers allocate their own.
 using BlockWorker = std::function<void(
-    bool inline_path, const BlockClaim& claim, BlockAccumulator& acc)>;
+    bool inline_path, exec::MorselCursor& cursor, BlockAccumulator& acc)>;
 
 struct BlockDispatch {
   std::size_t total_blocks = 0;
+  // The blocks to run, ascending; null runs all of [0, total_blocks).
+  const std::vector<std::uint32_t>* live_blocks = nullptr;
   int threads = 0;  // configured; 0 = auto
   bool collect_stats = false;
+  const char* fault_site = nullptr;   // "<engine>.morsel", passed per block
   const char* inline_span = nullptr;  // optional span around the inline run
   const char* worker_span = nullptr;  // span on each pool worker
 };
 
-// Runs `worker` over blocks [0, total_blocks): inline with no scheduler
-// when at most one thread resolves (QueryResult::morsels is then the block
-// count), otherwise through exec::RunMorsels with private accumulators
-// merged in worker order — group sums commute, so results are
-// bit-identical to single-threaded. Fills rows (decoded, sorted),
-// qualifying_rows, morsels and, with stats, one filter.<col> /
-// probe.<col> / groupby row per operator.
+// Runs `worker` over the live blocks through one exec::MorselCursor, which
+// stops, yields and passes the fault site for the whole query. At most one
+// resolved thread runs inline on the caller; more run on the TaskPool with
+// private accumulators merged in worker order — group sums commute, so
+// results are bit-identical to single-threaded. Fills rows (decoded,
+// sorted), qualifying_rows, morsels (the blocks run) and, with stats, one
+// filter.<col> / probe.<col> / groupby row per operator.
+//
+// Pool runs publish exec.morsels_dispatched, exec.pool_threads and
+// exec.worker_busy_fraction; every run publishes exec.morsel_yields.
 QueryResult DispatchBlocks(const StarPlan& plan,
                            const ssb::LineorderFact& lo,
                            const BlockDispatch& dispatch,

@@ -67,7 +67,7 @@ struct QueryResult {
   // compares rows only, so bit-exactness tests stay engine-agnostic) ---
   std::uint64_t trace_id = 0;     // minted in QueryContext; 0 = untraced
   std::uint64_t wall_nanos = 0;   // end-to-end run wall time
-  std::uint64_t morsels = 0;      // morsels dispatched (blocks when serial)
+  std::uint64_t morsels = 0;      // live blocks run (pruned blocks excluded)
   bool plan_cache_hit = false;    // plan came from the engine's plan cache
   // Chunked-scan envelope (all zero when the engine scans flat columns):
   // fact chunks per column, chunks dispatched to the pipeline, and chunks

@@ -1,83 +1,15 @@
 #include "exec/morsel.h"
 
-#include <limits>
-
 #include "common/macros.h"
+#include "exec/fault_injection.h"
 
 namespace hef::exec {
 
-MorselScheduler::MorselScheduler(std::size_t total_blocks, int workers)
-    : workers_(workers) {
-  HEF_CHECK_MSG(workers >= 1, "worker count %d out of range", workers);
-  HEF_CHECK_MSG(
-      total_blocks < std::numeric_limits<std::uint32_t>::max(),
-      "block count %zu exceeds the packed cursor width", total_blocks);
-  shards_ = std::make_unique<Shard[]>(static_cast<std::size_t>(workers));
-  const std::size_t per =
-      (total_blocks + static_cast<std::size_t>(workers) - 1) /
-      static_cast<std::size_t>(workers);
-  for (int w = 0; w < workers; ++w) {
-    const std::size_t begin =
-        std::min(total_blocks, static_cast<std::size_t>(w) * per);
-    const std::size_t end =
-        std::min(total_blocks, (static_cast<std::size_t>(w) + 1) * per);
-    shards_[w].range.store(Pack(static_cast<std::uint32_t>(begin),
-                                static_cast<std::uint32_t>(end)),
-                           std::memory_order_relaxed);
-  }
-}
-
-bool MorselScheduler::ClaimFront(Shard& shard, std::size_t* begin,
-                                 std::size_t* end) {
-  std::uint64_t cur = shard.range.load(std::memory_order_relaxed);
-  while (true) {
-    const auto b = static_cast<std::uint32_t>(cur >> 32);
-    const auto e = static_cast<std::uint32_t>(cur);
-    if (b >= e) return false;
-    if (shard.range.compare_exchange_weak(cur, Pack(b + 1, e),
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_relaxed)) {
-      *begin = b;
-      *end = b + 1;
-      return true;
-    }
-  }
-}
-
-bool MorselScheduler::StealBack(Shard& victim, std::uint32_t* begin,
-                                std::uint32_t* end) {
-  std::uint64_t cur = victim.range.load(std::memory_order_relaxed);
-  while (true) {
-    const auto b = static_cast<std::uint32_t>(cur >> 32);
-    const auto e = static_cast<std::uint32_t>(cur);
-    const std::uint32_t remaining = e > b ? e - b : 0;
-    if (remaining == 0) return false;
-    // Take the back half (at least one block — even a single remaining
-    // block may be stuck behind a slow owner).
-    const std::uint32_t take = (remaining + 1) / 2;
-    if (victim.range.compare_exchange_weak(cur, Pack(b, e - take),
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_relaxed)) {
-      *begin = e - take;
-      *end = e;
-      return true;
-    }
-  }
-}
-
-bool MorselScheduler::Next(int worker, std::size_t* begin,
-                           std::size_t* end) {
-  HEF_DCHECK(worker >= 0 && worker < workers_);
-  // Morsel-boundary stop check: one relaxed load when nothing is
-  // attached; with a context, cancellation and deadline are honoured
-  // before handing out more work — on every worker at once, since the
-  // first observer trips the shared stop flag.
+bool MorselCursor::Next(std::size_t* block) {
+  // One relaxed load when nothing is attached. With a context, the first
+  // thread to observe a stop trips the shared flag for every thread.
   if (HEF_UNLIKELY(stopped_.load(std::memory_order_relaxed))) return false;
   if (ctx_ != nullptr) {
-    // Cooperative preemption: while a higher-priority query runs, park
-    // before claiming more work. The morsel already in flight finishes —
-    // the morsel boundary is the preemption granularity, exactly like
-    // cancellation.
     if (HEF_UNLIKELY(ctx_->ShouldYield())) {
       yields_.fetch_add(ctx_->YieldWhilePreempted(),
                         std::memory_order_relaxed);
@@ -87,38 +19,11 @@ bool MorselScheduler::Next(int worker, std::size_t* begin,
       return false;
     }
   }
-  while (true) {
-    if (ClaimFront(shards_[worker], begin, end)) {
-      dispatched_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    // Own shard exhausted: pick the fullest other shard and steal its back
-    // half. The snapshot may race with concurrent claims — StealBack
-    // revalidates under CAS, and an empty victim just restarts the scan.
-    int victim = -1;
-    std::uint32_t victim_remaining = 0;
-    for (int w = 0; w < workers_; ++w) {
-      if (w == worker) continue;
-      const std::uint64_t cur =
-          shards_[w].range.load(std::memory_order_relaxed);
-      const auto b = static_cast<std::uint32_t>(cur >> 32);
-      const auto e = static_cast<std::uint32_t>(cur);
-      const std::uint32_t remaining = e > b ? e - b : 0;
-      if (remaining > victim_remaining) {
-        victim_remaining = remaining;
-        victim = w;
-      }
-    }
-    if (victim < 0) return false;  // everything claimed everywhere
-    std::uint32_t sb = 0, se = 0;
-    if (StealBack(shards_[victim], &sb, &se)) {
-      steals_.fetch_add(1, std::memory_order_relaxed);
-      // Adopt the stolen range as the new own shard (it is empty, and only
-      // the owner installs ranges — thieves skip empty shards), then claim
-      // from it on the next loop iteration so it remains stealable.
-      shards_[worker].range.store(Pack(sb, se), std::memory_order_release);
-    }
-  }
+  const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+  if (i >= count_) return false;
+  if (fault_site_ != nullptr) HEF_FAULT_POINT(fault_site_);
+  *block = live_ != nullptr ? live_[i] : i;
+  return true;
 }
 
 }  // namespace hef::exec

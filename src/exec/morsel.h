@@ -1,104 +1,86 @@
-// MorselScheduler — dynamic block dispatch with work stealing.
+// MorselCursor — the one place a query's blocks are handed out.
 //
-// Pre-PR engines carved the fact table into one static contiguous range
-// per worker. A bloom- or filter-skewed range then pins the whole query on
-// its slowest worker while the others idle — the static-split utilization
-// gap the Xeon Phi MapReduce study (PAPERS.md) measures. Here the unit of
-// dispatch is one pipeline block (EngineConfig::block_size rows), claimed
-// dynamically:
+// A static contiguous split of the fact table per worker pins a skewed
+// query on its slowest worker while the others idle — the static-split
+// utilization gap the Xeon Phi MapReduce study (PAPERS.md) measures. Here
+// the unit of dispatch is one pipeline block (EngineConfig::block_size or
+// VoilaConfig::vector_size rows), and every executing thread claims the
+// next one from a single shared atomic index: a worker stuck on an
+// expensive block simply claims fewer blocks while the others drain the
+// rest. The blocks are the query's *live* blocks only — chunk pruning
+// (engine/scan.h) decides before dispatch which blocks run, so a pruned
+// block is never claimed.
 //
-//   * the block space is split into one contiguous shard per worker, each
-//     held in a single packed 64-bit atomic {begin, end} cursor;
-//   * a worker claims blocks one at a time off the *front* of its own
-//     shard (one uncontended CAS per block_size rows — the shared morsel
-//     cursor, sharded for locality);
-//   * a worker whose shard is empty *steals the back half* of the fullest
-//     remaining shard and adopts it as its new shard — the work-stealing
-//     deque protocol applied to index ranges instead of task objects.
+// Next() is also the query's only morsel boundary. Before handing out a
+// block it parks while a higher-priority query runs and stops once the
+// QueryContext reports cancellation or an expired deadline; every block it
+// hands out passes the engine's `<engine>.morsel` fault site. The block
+// already in flight finishes: one block is the cancellation and preemption
+// granularity.
 //
-// Every block is claimed exactly once (the CAS either advances a cursor or
-// fails and retries), workers scan mostly-contiguous rows, and skew is
-// absorbed: a worker stuck on an expensive block loses the rest of its
-// shard to thieves instead of serializing the query. Results are unchanged
-// by construction — claimants only pick *which* private accumulator a
-// block lands in, and group sums commute.
+// Every block is claimed exactly once. Claimants only pick which private
+// accumulator a block lands in, and group sums commute, so results do not
+// depend on the claim order.
 
 #ifndef HEF_EXEC_MORSEL_H_
 #define HEF_EXEC_MORSEL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "exec/query_context.h"
 
 namespace hef::exec {
 
-class MorselScheduler {
+class MorselCursor {
  public:
-  // Schedules `total_blocks` blocks across `workers` shards.
-  MorselScheduler(std::size_t total_blocks, int workers);
+  // Hands out live_blocks[0, count) in order, or the blocks [0, count)
+  // themselves when `live_blocks` is null. With a non-null `ctx`, Next()
+  // yields and stops on it; with a non-null `fault_site`, every block it
+  // hands out passes that fault point. All three must outlive the cursor.
+  explicit MorselCursor(std::size_t count,
+                        const std::uint32_t* live_blocks = nullptr,
+                        const QueryContext* ctx = nullptr,
+                        const char* fault_site = nullptr)
+      : count_(count),
+        live_(live_blocks),
+        ctx_(ctx),
+        fault_site_(fault_site) {}
 
-  // Claims the next block for `worker`. Returns false when every shard is
-  // exhausted (all blocks claimed), after Stop(), or once an attached
-  // QueryContext reports cancellation or an expired deadline. [*begin,
-  // *end) is a block-index range (currently always one block wide).
-  bool Next(int worker, std::size_t* begin, std::size_t* end);
+  MorselCursor(const MorselCursor&) = delete;
+  MorselCursor& operator=(const MorselCursor&) = delete;
 
-  // Makes every subsequent Next() return false on every worker — the
+  // Claims the next block into *block. Returns false once every block is
+  // claimed, after Stop(), or once the context reports a stop.
+  bool Next(std::size_t* block);
+
+  // Makes every subsequent Next() return false on every thread — the
   // cooperative bail-out for cancellation, deadlines, and failed workers.
-  // Already-claimed morsels finish; no new ones are handed out.
   void Stop() { stopped_.store(true, std::memory_order_relaxed); }
-  bool stopped() const {
-    return stopped_.load(std::memory_order_relaxed);
-  }
 
-  // Attaches the query's context; Next() then performs the per-morsel
-  // stop check (the morsel boundary is the cancellation granularity).
-  // The context must outlive the run.
-  void set_context(const QueryContext* ctx) { ctx_ = ctx; }
-
+  // Blocks handed out so far.
   std::uint64_t dispatched() const {
-    return dispatched_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t steals() const {
-    return steals_.load(std::memory_order_relaxed);
+    return std::min<std::uint64_t>(next_.load(std::memory_order_relaxed),
+                                   count_);
   }
   // Sleep slices spent parked behind higher-priority queries (see
-  // QueryContext::YieldWhilePreempted); mirrored into exec.morsel_yields.
+  // QueryContext::YieldWhilePreempted).
   std::uint64_t yields() const {
     return yields_.load(std::memory_order_relaxed);
   }
-  int workers() const { return workers_; }
 
  private:
-  // Lock-free by design: every shared member below is a std::atomic and
-  // there is no mutex to hang a HEF_GUARDED_BY off (see
-  // common/thread_annotations.h) — the non-atomic ctx_ must be set before
-  // the run starts and is read-only during it.
-  //
-  // {begin, end} packed as (begin << 32) | end so claims and steals are
-  // single-word CAS transitions. Padded to a cache line: each shard is
-  // written mostly by its owner.
-  struct alignas(64) Shard {
-    std::atomic<std::uint64_t> range{0};
-  };
-
-  static std::uint64_t Pack(std::uint32_t begin, std::uint32_t end) {
-    return (static_cast<std::uint64_t>(begin) << 32) | end;
-  }
-
-  bool ClaimFront(Shard& shard, std::size_t* begin, std::size_t* end);
-  bool StealBack(Shard& victim, std::uint32_t* begin, std::uint32_t* end);
-
-  int workers_;
-  std::unique_ptr<Shard[]> shards_;
-  std::atomic<std::uint64_t> dispatched_{0};
-  std::atomic<std::uint64_t> steals_{0};
+  // Lock-free: the shared members are atomics; the pointers are set at
+  // construction and read-only during the run.
+  const std::size_t count_;
+  const std::uint32_t* const live_;
+  const QueryContext* const ctx_;
+  const char* const fault_site_;
+  std::atomic<std::size_t> next_{0};
   std::atomic<std::uint64_t> yields_{0};
   std::atomic<bool> stopped_{false};
-  const QueryContext* ctx_ = nullptr;
 };
 
 }  // namespace hef::exec

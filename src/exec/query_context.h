@@ -3,14 +3,15 @@
 // The serving path ("heavy traffic from millions of users", ROADMAP) needs
 // queries that can be abandoned: a client disconnects, a latency budget
 // expires, an operator drains a host. Both engines accept a QueryContext
-// on their fallible Run overload and check it cooperatively at morsel
-// boundaries — one block of work (EngineConfig::block_size rows) is the
-// cancellation granularity, so a stop request is honoured within a single
-// block's execution time and partial accumulators are simply discarded.
+// on their fallible Run overload, and the query's MorselCursor (morsel.h)
+// checks it before handing out each block — one block of work
+// (EngineConfig::block_size rows) is the cancellation granularity, so a
+// stop request is honoured within a single block's execution time and
+// partial accumulators are simply discarded.
 //
-// The check is designed for the hot loop: no token and no deadline cost
-// one predictable branch each; an armed deadline adds one clock read per
-// block (~4k rows), which is noise next to the block's kernel work.
+// The check is designed for the per-block path: no token and no deadline
+// cost one predictable branch each; an armed deadline adds one clock read
+// per block (~4k rows), which is noise next to the block's kernel work.
 
 #ifndef HEF_EXEC_QUERY_CONTEXT_H_
 #define HEF_EXEC_QUERY_CONTEXT_H_
@@ -148,7 +149,7 @@ class QueryContext {
   // Parks this worker in short sleep slices until no higher-priority
   // query is active (or this query itself should stop — cancellation and
   // deadline stay honoured while yielding). Returns the number of slices
-  // slept, which the caller mirrors into exec.morsel_yields.
+  // slept, which MorselCursor sums into exec.morsel_yields.
   std::uint64_t YieldWhilePreempted() const;
 
  private:

@@ -28,54 +28,6 @@ Result<int> ParseThreadsFlag(const std::string& text) {
   return static_cast<int>(value);
 }
 
-MorselRunInfo RunMorsels(
-    std::size_t total_blocks, int workers,
-    const std::function<void(int, MorselScheduler&)>& worker_fn,
-    const QueryContext* ctx) {
-  HEF_CHECK_MSG(workers >= 1, "worker count %d out of range", workers);
-  MorselScheduler scheduler(total_blocks, workers);
-  scheduler.set_context(ctx);
-  std::vector<std::uint64_t> busy_nanos(
-      static_cast<std::size_t>(workers), 0);
-  const std::uint64_t wall_t0 = MonotonicNanos();
-  TaskPool::Get().Run(workers, [&](int w) {
-    const std::uint64_t t0 = MonotonicNanos();
-    // A throwing worker stops the scheduler before propagating into the
-    // pool's capture slot, so surviving workers stop claiming morsels and
-    // the join (and the error) reaches the caller quickly.
-    try {
-      worker_fn(w, scheduler);
-    } catch (...) {
-      scheduler.Stop();
-      busy_nanos[static_cast<std::size_t>(w)] = MonotonicNanos() - t0;
-      throw;
-    }
-    busy_nanos[static_cast<std::size_t>(w)] = MonotonicNanos() - t0;
-  });
-  const std::uint64_t wall = MonotonicNanos() - wall_t0;
-
-  MorselRunInfo info;
-  info.workers = workers;
-  info.dispatched = scheduler.dispatched();
-  info.steals = scheduler.steals();
-  info.yields = scheduler.yields();
-  std::uint64_t busy_total = 0;
-  for (const std::uint64_t b : busy_nanos) busy_total += b;
-  info.busy_fraction =
-      wall == 0 ? 1.0
-                : static_cast<double>(busy_total) /
-                      (static_cast<double>(wall) * workers);
-
-  auto& registry = telemetry::MetricsRegistry::Get();
-  registry.counter("exec.morsels_dispatched").Increment(info.dispatched);
-  registry.counter("exec.steals").Increment(info.steals);
-  registry.counter("exec.morsel_yields").Increment(info.yields);
-  registry.gauge("exec.pool_threads")
-      .Set(static_cast<double>(TaskPool::Get().spawned_threads()));
-  registry.gauge("exec.worker_busy_fraction").Set(info.busy_fraction);
-  return info;
-}
-
 void RecordQueryOutcome(const Status& status) {
   if (status.ok()) return;
   auto& registry = telemetry::MetricsRegistry::Get();

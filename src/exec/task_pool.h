@@ -10,8 +10,8 @@
 // once per process instead of once per query.
 //
 // The pool itself hands out whole per-worker run loops; fine-grained load
-// balancing happens one level down, in MorselScheduler (see morsel.h),
-// where idle workers steal block ranges from loaded ones.
+// balancing happens one level down, in MorselCursor (see morsel.h), where
+// every worker claims its next block from one shared cursor.
 //
 // Exception safety: a serving pool must outlive any single bad query. A
 // task body that throws (std::bad_alloc, an injected fault, a bug in an

@@ -10,7 +10,6 @@
 #include "common/stopwatch.h"
 #include "engine/query_shell.h"
 #include "engine/star_plan.h"
-#include "exec/fault_injection.h"
 #include "table/linear_hash_table.h"
 #include "telemetry/span.h"
 
@@ -147,17 +146,14 @@ struct VoilaEngine::Impl {
     return m;
   }
 
-  // Interprets fact rows [row_begin, row_end) — the per-worker run loop
-  // body — accumulating into `acc` (per-stage rows too when acc.ops is
-  // non-empty; same layout as the HEF engine: filters, probes, group-by).
-  void RunBlocks(const StarPlan& plan, Regs& regs, std::size_t row_begin,
-                 std::size_t row_end, BlockAccumulator& acc,
-                 const exec::QueryContext* ctx) const {
-    const auto vec = static_cast<std::size_t>(config.vector_size);
+  // Interprets the `bn` fact rows of the vector at row b0, accumulating
+  // into `acc` (per-stage rows too when acc.ops is non-empty; same layout
+  // as the HEF engine: filters, probes, group-by).
+  void RunBlock(const StarPlan& plan, Regs& regs, std::size_t b0,
+                std::size_t bn, BlockAccumulator& acc) const {
     const bool stats = !acc.ops.empty();
     const std::size_t probe_base = plan.filters.size();
     const std::size_t groupby_idx = probe_base + plan.joins.size();
-    std::uint64_t qualifying = 0;
 
     std::uint64_t t0 = 0;
     auto stage_begin = [&] {
@@ -173,83 +169,72 @@ struct VoilaEngine::Impl {
       a.rows_out += out_rows;
     };
 
-    for (std::size_t b0 = row_begin; b0 < row_end; b0 += vec) {
-      // Vector boundary = cancellation granularity (and preemption point),
-      // same contract as the HEF engine's block loop.
-      if (ctx != nullptr) {
-        if (HEF_UNLIKELY(ctx->ShouldYield())) ctx->YieldWhilePreempted();
-        if (HEF_UNLIKELY(ctx->ShouldStop())) break;
-      }
-      HEF_FAULT_POINT("voila.morsel");
-      const std::size_t bn = std::min(vec, row_end - b0);
-      std::size_t n = bn;
-      for (std::size_t j = 0; j < n; ++j) {
-        regs.sel[j] = static_cast<std::uint32_t>(j);
-      }
-      int live_payloads = 0;
-      std::array<int, 4> probed_slots{};
-
-      for (std::size_t fi = 0; fi < plan.filters.size(); ++fi) {
-        const RangeFilter& f = plan.filters[fi];
-        if (n == 0) break;
-        stage_begin();
-        const std::size_t in_rows = n;
-        GatherColumn(regs, *f.col, b0, n, regs.val_vec);
-        n = SelectRange(regs, n, f.lo, f.hi);
-        stage_end(fi, in_rows, n);
-      }
-
-      for (std::size_t ji = 0; ji < plan.joins.size(); ++ji) {
-        const JoinStage& j = plan.joins[ji];
-        if (n == 0) break;
-        HEF_DCHECK(j.payload_slot >= 0 && j.payload_slot < 4);
-        stage_begin();
-        const std::size_t in_rows = n;
-        GatherColumn(regs, *j.fact_key, b0, n, regs.key_vec);
-        ComputeSlots(regs, *j.table, n);
-        // Payloads land in the schema-order slot the gid mapping expects,
-        // independent of probe order.
-        n = ProbeFsm(regs, *j.table, n, regs.payload_vec[j.payload_slot]);
-        probed_slots[live_payloads++] = j.payload_slot;
-        stage_end(probe_base + ji, in_rows, n);
-      }
-      if (n == 0) continue;
-      qualifying += n;
-
-      stage_begin();
-      GatherColumn(regs, *plan.value_a, b0, n, regs.val_vec);
-      if (plan.value_b != nullptr) {
-        GatherColumn(regs, *plan.value_b, b0, n, regs.val2_vec);
-        // Materialize the combined measure (a separate primitive in the
-        // interpreted engine).
-        if (plan.value_op == ValueOp::kSumProduct) {
-          for (std::size_t j = 0; j < n; ++j) {
-            const std::uint32_t i = regs.sel[j];
-            regs.val_vec[i] *= regs.val2_vec[i];
-          }
-        } else if (plan.value_op == ValueOp::kSumDiff) {
-          for (std::size_t j = 0; j < n; ++j) {
-            const std::uint32_t i = regs.sel[j];
-            regs.val_vec[i] -= regs.val2_vec[i];
-          }
-        }
-      }
-
-      std::array<std::uint64_t, 4> p{};
-      for (std::size_t j = 0; j < n; ++j) {
-        const std::uint32_t i = regs.sel[j];
-        for (int k = 0; k < live_payloads; ++k) {
-          const int slot = probed_slots[k];
-          p[slot] = regs.payload_vec[slot][i];
-        }
-        const std::uint64_t g = plan.gid(p);
-        HEF_DCHECK(g < plan.gid_domain);
-        acc.agg[g] += regs.val_vec[i];
-        acc.cnt[g] += 1;
-      }
-      stage_end(groupby_idx, n, n);
+    std::size_t n = bn;
+    for (std::size_t j = 0; j < n; ++j) {
+      regs.sel[j] = static_cast<std::uint32_t>(j);
     }
-    acc.qualifying += qualifying;
+    int live_payloads = 0;
+    std::array<int, 4> probed_slots{};
+
+    for (std::size_t fi = 0; fi < plan.filters.size(); ++fi) {
+      const RangeFilter& f = plan.filters[fi];
+      if (n == 0) break;
+      stage_begin();
+      const std::size_t in_rows = n;
+      GatherColumn(regs, *f.col, b0, n, regs.val_vec);
+      n = SelectRange(regs, n, f.lo, f.hi);
+      stage_end(fi, in_rows, n);
+    }
+
+    for (std::size_t ji = 0; ji < plan.joins.size(); ++ji) {
+      const JoinStage& j = plan.joins[ji];
+      if (n == 0) break;
+      HEF_DCHECK(j.payload_slot >= 0 && j.payload_slot < 4);
+      stage_begin();
+      const std::size_t in_rows = n;
+      GatherColumn(regs, *j.fact_key, b0, n, regs.key_vec);
+      ComputeSlots(regs, *j.table, n);
+      // Payloads land in the schema-order slot the gid mapping expects,
+      // independent of probe order.
+      n = ProbeFsm(regs, *j.table, n, regs.payload_vec[j.payload_slot]);
+      probed_slots[live_payloads++] = j.payload_slot;
+      stage_end(probe_base + ji, in_rows, n);
+    }
+    if (n == 0) return;
+    acc.qualifying += n;
+
+    stage_begin();
+    GatherColumn(regs, *plan.value_a, b0, n, regs.val_vec);
+    if (plan.value_b != nullptr) {
+      GatherColumn(regs, *plan.value_b, b0, n, regs.val2_vec);
+      // Materialize the combined measure (a separate primitive in the
+      // interpreted engine).
+      if (plan.value_op == ValueOp::kSumProduct) {
+        for (std::size_t j = 0; j < n; ++j) {
+          const std::uint32_t i = regs.sel[j];
+          regs.val_vec[i] *= regs.val2_vec[i];
+        }
+      } else if (plan.value_op == ValueOp::kSumDiff) {
+        for (std::size_t j = 0; j < n; ++j) {
+          const std::uint32_t i = regs.sel[j];
+          regs.val_vec[i] -= regs.val2_vec[i];
+        }
+      }
+    }
+
+    std::array<std::uint64_t, 4> p{};
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::uint32_t i = regs.sel[j];
+      for (int k = 0; k < live_payloads; ++k) {
+        const int slot = probed_slots[k];
+        p[slot] = regs.payload_vec[slot][i];
+      }
+      const std::uint64_t g = plan.gid(p);
+      HEF_DCHECK(g < plan.gid_domain);
+      acc.agg[g] += regs.val_vec[i];
+      acc.cnt[g] += 1;
+    }
+    stage_end(groupby_idx, n, n);
   }
 
   QueryResult ExecutePlan(const StarPlan& plan,
@@ -258,21 +243,24 @@ struct VoilaEngine::Impl {
     const auto vec = static_cast<std::size_t>(config.vector_size);
     const std::size_t total = db.lineorder.n;
     const BlockWorker worker = [&](bool inline_path,
-                                   const BlockClaim& claim,
+                                   exec::MorselCursor& cursor,
                                    BlockAccumulator& acc) {
       std::unique_ptr<Regs> own;
       if (!inline_path) own = std::make_unique<Regs>(vec);
       Regs& regs = inline_path ? main_regs : *own;
-      std::size_t blk_begin = 0;
-      std::size_t blk_end = 0;
-      while (claim(&blk_begin, &blk_end)) {
-        RunBlocks(plan, regs, blk_begin * vec,
-                  std::min(total, blk_end * vec), acc, ctx);
+      std::size_t b = 0;
+      while (cursor.Next(&b)) {
+        const std::size_t b0 = b * vec;
+        RunBlock(plan, regs, b0, std::min(vec, total - b0), acc);
       }
     };
-    const BlockDispatch dispatch{(total + vec - 1) / vec, config.threads,
+    const BlockDispatch dispatch{(total + vec - 1) / vec,
+                                 /*live_blocks=*/nullptr,
+                                 config.threads,
                                  config.collect_stats,
-                                 /*inline_span=*/nullptr, "voila.worker"};
+                                 "voila.morsel",
+                                 /*inline_span=*/nullptr,
+                                 "voila.worker"};
     return DispatchBlocks(plan, db.lineorder, dispatch, worker, ctx);
   }
 

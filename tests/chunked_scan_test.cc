@@ -142,6 +142,61 @@ TEST(ChunkedScanTest, StorageMetricsAdvance) {
   EXPECT_GT(pruned, 0u);
 }
 
+// Blocks of the chunks pruning kept: a 4096-row block never straddles a
+// chunk, and the short tail chunk holds fewer blocks.
+std::uint64_t LiveBlocks(const ssb::SsbDatabase& db,
+                         const ChunkPruning& pruning) {
+  constexpr std::size_t kBlock = 4096;
+  const std::size_t n = db.chunked->rows();
+  std::uint64_t blocks = 0;
+  for (std::size_t c = 0; c < pruning.alive.size(); ++c) {
+    if (!pruning.alive[c]) continue;
+    const std::size_t rows = std::min(kChunkRows, n - c * kChunkRows);
+    blocks += (rows + kBlock - 1) / kBlock;
+  }
+  return blocks;
+}
+
+// At threads=2 the cursor hands out only the blocks of unpruned chunks.
+TEST(ChunkedScanTest, ParallelRunDispatchesOnlyLiveBlocks) {
+  const ssb::SsbDatabase db = MakeChunkedDb();
+  const BoundPlan bound = BuildQueryPlan(db, QueryId::kQ1_1);
+  const std::uint64_t live =
+      LiveBlocks(db, ComputeChunkPruning(db, bound.plan, "Q1.1"));
+  ASSERT_GE(live, 2u);  // enough for both workers
+  ASSERT_LT(live, (db.chunked->rows() + 4095) / 4096);
+
+  EngineConfig config = Config(Flavor::kHybrid, true, true);
+  config.threads = 2;
+  SsbEngine engine(db, config);
+  auto& registry = telemetry::MetricsRegistry::Get();
+  const std::uint64_t morsels0 =
+      registry.counter("exec.morsels_dispatched").value();
+  const QueryResult result = engine.Run(QueryId::kQ1_1);
+  EXPECT_EQ(registry.counter("exec.morsels_dispatched").value() - morsels0,
+            live);
+  EXPECT_EQ(result.morsels, live);
+  EXPECT_TRUE(result == RunReferenceQuery(db, QueryId::kQ1_1));
+}
+
+// engine.rows_scanned counts the fact rows entering the pipeline: with
+// pruning on, the rows of the surviving chunks only.
+TEST(ChunkedScanTest, RowsScannedCountsOnlyUnprunedRows) {
+  const ssb::SsbDatabase db = MakeChunkedDb();
+  const BoundPlan bound = BuildQueryPlan(db, QueryId::kQ1_2);
+  const ChunkPruning pruning = ComputeChunkPruning(db, bound.plan, "Q1.2");
+  ASSERT_LT(pruning.rows_scanned, db.chunked->rows());
+
+  EngineConfig config = Config(Flavor::kHybrid, true, true);
+  config.collect_stats = true;
+  SsbEngine engine(db, config);
+  auto& registry = telemetry::MetricsRegistry::Get();
+  const std::uint64_t rows0 = registry.counter("engine.rows_scanned").value();
+  engine.Run(QueryId::kQ1_2);
+  EXPECT_EQ(registry.counter("engine.rows_scanned").value() - rows0,
+            pruning.rows_scanned);
+}
+
 // The `rows` of the whole-query drift window one Run fed the sentinel.
 std::uint64_t DriftQueryRows(const std::string& query) {
   auto parsed = telemetry::JsonValue::Parse(DriftMonitor::Get().ToJson());

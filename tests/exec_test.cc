@@ -1,6 +1,6 @@
-// Tests for the execution runtime: TaskPool, MorselScheduler dispatch and
-// stealing, PlanCache semantics, the partitioned hash-table build, and
-// cross-thread / cached-vs-cold result identity for both engines.
+// Tests for the execution runtime: TaskPool, MorselCursor dispatch,
+// PlanCache semantics, the partitioned hash-table build, and cross-thread /
+// cached-vs-cold result identity for both engines.
 
 #include <atomic>
 #include <chrono>
@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,8 +18,10 @@
 #include "engine/reference.h"
 #include "exec/morsel.h"
 #include "exec/plan_cache.h"
+#include "exec/query_context.h"
 #include "exec/runtime.h"
 #include "exec/task_pool.h"
+#include "ssb/chunked_fact.h"
 #include "ssb/database.h"
 #include "table/linear_hash_table.h"
 #include "telemetry/metrics.h"
@@ -75,68 +78,76 @@ TEST(ParseThreadsFlagTest, Values) {
   EXPECT_FALSE(exec::ParseThreadsFlag("100000").ok());
 }
 
-// Every block must be claimed exactly once, no matter how claims and
-// steals interleave.
+// Every block must be claimed exactly once, no matter how claims
+// interleave.
 TEST(MorselSchedulerTest, DispatchCompleteUnderContention) {
   constexpr std::size_t kBlocks = 4096;
   constexpr int kWorkers = 8;
-  exec::MorselScheduler sched(kBlocks, kWorkers);
+  exec::MorselCursor cursor(kBlocks);
 
   std::mutex mu;
   std::set<std::size_t> seen;
   std::atomic<bool> duplicate{false};
-  exec::TaskPool::Get().Run(kWorkers, [&](int w) {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    while (sched.Next(w, &begin, &end)) {
-      ASSERT_LT(begin, end);
+  exec::TaskPool::Get().Run(kWorkers, [&](int) {
+    std::size_t b = 0;
+    while (cursor.Next(&b)) {
       std::lock_guard<std::mutex> lock(mu);
-      for (std::size_t b = begin; b < end; ++b) {
-        if (!seen.insert(b).second) duplicate.store(true);
-      }
+      if (!seen.insert(b).second) duplicate.store(true);
     }
   });
   EXPECT_FALSE(duplicate.load());
   EXPECT_EQ(seen.size(), kBlocks);
   EXPECT_EQ(*seen.begin(), 0u);
   EXPECT_EQ(*seen.rbegin(), kBlocks - 1);
-  EXPECT_EQ(sched.dispatched(), kBlocks);
+  EXPECT_EQ(cursor.dispatched(), kBlocks);
 }
 
-// A worker stuck on a slow block loses the rest of its shard to thieves:
-// the other workers drain the whole block space while worker 0 sleeps.
-TEST(MorselSchedulerTest, StealsFromSkewedShard) {
+// A worker stuck on a slow block claims no more while the others drain
+// the rest: far fewer blocks land on it than the 1/kWorkers share a
+// static split would pin behind it.
+TEST(MorselSchedulerTest, SlowWorkerDoesNotSerializeQuery) {
   constexpr std::size_t kBlocks = 512;
   constexpr int kWorkers = 4;
-  exec::MorselScheduler sched(kBlocks, kWorkers);
+  exec::MorselCursor cursor(kBlocks);
 
   std::atomic<std::uint64_t> done{0};
+  std::uint64_t slow_blocks = 0;
   exec::TaskPool::Get().Run(kWorkers, [&](int w) {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    while (sched.Next(w, &begin, &end)) {
+    std::size_t b = 0;
+    while (cursor.Next(&b)) {
       if (w == 0) {
-        // Artificial skew: worker 0's first block takes longer than the
-        // rest of the query combined.
+        // Artificial skew: each of worker 0's blocks takes longer than
+        // the rest of the query combined.
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        ++slow_blocks;
       }
-      done.fetch_add(end - begin);
+      done.fetch_add(1);
     }
   });
   EXPECT_EQ(done.load(), kBlocks);
-  EXPECT_EQ(sched.dispatched(), kBlocks);
-  EXPECT_GT(sched.steals(), 0u);
+  EXPECT_EQ(cursor.dispatched(), kBlocks);
+  EXPECT_LT(slow_blocks, kBlocks / kWorkers);
 }
 
 TEST(MorselSchedulerTest, MoreWorkersThanBlocks) {
-  exec::MorselScheduler sched(3, 8);
+  exec::MorselCursor cursor(3);
   std::atomic<std::uint64_t> done{0};
-  exec::TaskPool::Get().Run(8, [&](int w) {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    while (sched.Next(w, &begin, &end)) done.fetch_add(end - begin);
+  exec::TaskPool::Get().Run(8, [&](int) {
+    std::size_t b = 0;
+    while (cursor.Next(&b)) done.fetch_add(1);
   });
   EXPECT_EQ(done.load(), 3u);
+}
+
+// A live-block list is handed out in order, and only its blocks.
+TEST(MorselSchedulerTest, HandsOutOnlyLiveBlocks) {
+  const std::vector<std::uint32_t> live = {2, 3, 7, 11};
+  exec::MorselCursor cursor(live.size(), live.data());
+  std::vector<std::size_t> got;
+  std::size_t b = 0;
+  while (cursor.Next(&b)) got.push_back(b);
+  EXPECT_EQ(got, std::vector<std::size_t>({2, 3, 7, 11}));
+  EXPECT_EQ(cursor.dispatched(), live.size());
 }
 
 TEST(PlanCacheTest, HitMissInvalidate) {
@@ -332,6 +343,76 @@ TEST_F(ExecIdentityTest, StatsMergeAcrossWorkersWithCache) {
     // The first probe sees every fact row (Q2.1 has no filters), no
     // matter how many workers the blocks were spread over.
     EXPECT_EQ(probe_rows_in, Db().lineorder.n);
+  }
+}
+
+// A threads=1 Run claims every block on the calling thread, and the
+// slices it parks there behind a higher-priority query count into
+// exec.morsel_yields like a pool worker's.
+TEST_F(ExecIdentityTest, InlineRunCountsMorselYields) {
+  auto& registry = telemetry::MetricsRegistry::Get();
+  EngineConfig cfg;
+  cfg.threads = 1;
+  SsbEngine engine(Db(), cfg);
+  engine.Run(QueryId::kQ1_1);  // warm the plan cache
+  const std::uint64_t yields0 =
+      registry.counter("exec.morsel_yields").value();
+
+  exec::PriorityGate gate;
+  gate.Enter(exec::Priority::kHigh);
+  exec::QueryContext ctx;
+  ctx.set_priority(exec::Priority::kLow);
+  ctx.set_priority_gate(&gate);
+  std::thread leaver([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    gate.Leave(exec::Priority::kHigh);
+  });
+  const Result<QueryResult> r = engine.Run(QueryId::kQ1_1, ctx);
+  leaver.join();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r.value() == RunReferenceQuery(Db(), QueryId::kQ1_1));
+  EXPECT_GT(registry.counter("exec.morsel_yields").value(), yields0);
+}
+
+// Both engines, every flavour, threads 1, 2 and 8, over flat, chunked and
+// chunked+pruned storage: neither the claim order nor the live-block list
+// changes a result. VoilaEngine always scans the flat columns.
+TEST(CursorDispatchTest, EveryEngineThreadCountAndScanModeMatchReference) {
+  ssb::SsbDatabase db = ssb::SsbDatabase::Generate(0.01);
+  ssb::ChunkedFactOptions options;
+  options.chunk_rows = 8192;  // 8 chunks, so pruning has chunks to skip
+  ssb::EnsureChunked(db, options);
+  const std::vector<QueryId>& queries = AllQueries();
+  std::vector<QueryResult> want;
+  for (const QueryId id : queries) want.push_back(RunReferenceQuery(db, id));
+
+  for (const int threads : {1, 2, 8}) {
+    for (const Flavor flavor :
+         {Flavor::kScalar, Flavor::kSimd, Flavor::kHybrid}) {
+      for (const auto& [chunked, pruning] :
+           {std::pair{false, false}, std::pair{true, false},
+            std::pair{true, true}}) {
+        EngineConfig cfg;
+        cfg.flavor = flavor;
+        cfg.threads = threads;
+        cfg.chunked_scan = chunked;
+        cfg.scan_pruning = pruning;
+        SsbEngine engine(db, cfg);
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+          EXPECT_TRUE(engine.Run(queries[q]) == want[q])
+              << QueryName(queries[q]) << " " << FlavorName(flavor)
+              << " threads=" << threads << " chunked=" << chunked
+              << " pruning=" << pruning;
+        }
+      }
+    }
+    VoilaConfig voila_cfg;
+    voila_cfg.threads = threads;
+    VoilaEngine voila(db, voila_cfg);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_TRUE(voila.Run(queries[q]) == want[q])
+          << QueryName(queries[q]) << " voila threads=" << threads;
+    }
   }
 }
 
