@@ -10,8 +10,10 @@
 #include "common/aligned_buffer.h"
 #include "common/rng.h"
 #include "algo/fmix32.h"
+#include "engine/flavor.h"
 #include "engine/primitives.h"
 #include "engine/scan.h"
+#include "storage/chunked_column.h"
 #include "table/bloom_filter.h"
 #include "table/group_agg.h"
 #include "table/linear_hash_table.h"
@@ -199,6 +201,61 @@ void BM_ScanRangeBitmap(benchmark::State& state) {
   state.SetLabel(FlavorName(flavor));
 }
 BENCHMARK(BM_ScanRangeBitmap)->Arg(0)->Arg(1);
+
+// Late materialization crossover: one 4096-row engine block of a 16-bit
+// FoR, a dictionary, or a plain chunk, with survivors at a given density
+// (percent). Mode 0 decodes only the survivors (DecodeAt); mode 1 decodes
+// the whole block and gathers the survivors (DecodeRange + GatherArray),
+// as the chunked scan did before. The last argument picks the engine
+// flavour whose kernel coordinates run (0 hybrid, 1 scalar). Items are
+// survivors, so ns/item compares the two modes at equal output.
+void BM_LateDecode(benchmark::State& state) {
+  constexpr std::size_t kBlock = 4096;
+  static const char* const kEncodings[] = {"for", "dict", "plain"};
+  const auto encoding = static_cast<std::size_t>(state.range(0));
+  const auto density = static_cast<std::uint64_t>(state.range(1));
+  const bool survivors_only = state.range(2) == 0;
+  Rng rng(11);
+  std::vector<std::uint64_t> values(storage::kDefaultChunkRows);
+  for (auto& v : values) {
+    v = encoding == 1 ? 1000 + 7 * rng.Uniform(0, 199)
+                      : 19920101 + rng.Uniform(0, 60000);
+  }
+  storage::EncodingPolicy policy = storage::EncodingPolicy::kFor;
+  if (encoding == 1) policy = storage::EncodingPolicy::kDict;
+  if (encoding == 2) policy = storage::EncodingPolicy::kPlain;
+  const storage::ChunkedColumn col = storage::ChunkedColumn::Encode(
+      values.data(), values.size(), values.size(), policy);
+  AlignedBuffer<std::uint64_t> pos(kBlock, 64), block(kBlock, 64),
+      out(kBlock, 64);
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < kBlock; ++i) {
+    if (rng.Uniform(0, 99) < density) pos[n++] = i;
+  }
+  storage::DecodeScratch scratch;
+  scratch.EnsureCapacity(kBlock);
+  EngineConfig config;
+  config.flavor = state.range(3) == 0 ? Flavor::kHybrid : Flavor::kScalar;
+  const HybridConfig decode_cfg = config.DecodeConfig();
+  const HybridConfig gather_cfg = config.GatherConfig();
+  const std::size_t b0 = 8 * kBlock;  // mid-chunk
+  for (auto _ : state) {
+    if (survivors_only) {
+      col.DecodeAt(decode_cfg, b0, pos.data(), n, scratch, out.data());
+    } else {
+      col.DecodeRange(decode_cfg, b0, kBlock, scratch, block.data());
+      GatherArray(gather_cfg, block.data(), pos.data(), out.data(), n);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  state.SetLabel(std::string(kEncodings[encoding]) +
+                 (survivors_only ? " decode_at " : " range+gather ") +
+                 FlavorName(config.flavor));
+}
+BENCHMARK(BM_LateDecode)
+    ->ArgsProduct({{0, 1, 2}, {1, 10, 50, 90}, {0, 1}, {0, 1}});
 
 void BM_Fmix32(benchmark::State& state) {
   // 32-bit-lane kernel (Table II vint32): sixteen lanes per zmm.

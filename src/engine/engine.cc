@@ -135,19 +135,23 @@ struct SsbEngine::Impl {
     return extras;
   }
 
-  // A plan column the chunked scan decodes: its flat column (the lookup
-  // key), its chunked shadow, and the thread's decoded-block buffer.
+  // A plan column the chunked scan reads: its flat column (the lookup
+  // key), its chunked shadow, the thread's full-block decode buffer (null
+  // for a column only filters read), and where the current block's values
+  // are whole — a plain chunk's words in place or the decode buffer — or
+  // null while only survivors have been decoded.
   struct DecodedCol {
     const ssb::Column* flat = nullptr;
     const storage::ChunkedColumn* col = nullptr;
-    std::uint64_t* data = nullptr;
-    bool ready = false;
+    std::uint64_t* buffer = nullptr;
+    const std::uint64_t* base = nullptr;
   };
 
   // One executing thread's per-Run scan state, set up once before its
   // first block: its buffers and PMU group, the kernel coordinates the
   // flavour resolves to, and (chunked scan) each distinct plan column
-  // resolved to its chunked shadow and paired with a decoded-block buffer.
+  // resolved to its chunked shadow, and the count of values this thread
+  // decoded.
   struct ScanThread {
     Buffers& buf;
     const PerfCounters* pmu;
@@ -155,6 +159,7 @@ struct SsbEngine::Impl {
     const ssb::ChunkedFact* chunked = nullptr;
     std::array<DecodedCol, 8> dcols{};
     std::size_t n_dcols = 0;
+    std::uint64_t values_decoded = 0;
   };
 
   ScanThread PrepareScan(const StarPlan& plan, Buffers& buf,
@@ -164,26 +169,32 @@ struct SsbEngine::Impl {
     t.chunked = config.chunked_scan ? db.chunked.get() : nullptr;
     if (t.chunked == nullptr) return t;
     const auto block = static_cast<std::size_t>(config.block_size);
-    auto add = [&](const ssb::Column* flat) {
+    // Filters read codes, never values, so only a column read as values
+    // gets a full-block decode buffer.
+    auto add = [&](const ssb::Column* flat, bool read_as_values) {
       if (flat == nullptr) return;
-      for (std::size_t i = 0; i < t.n_dcols; ++i) {
-        if (t.dcols[i].flat == flat) return;
+      std::size_t i = 0;
+      while (i < t.n_dcols && t.dcols[i].flat != flat) ++i;
+      if (i == t.n_dcols) {
+        const storage::ChunkedColumn* col = t.chunked->Find(flat);
+        HEF_CHECK_MSG(col != nullptr,
+                      "chunked scan: plan column is not a fact column");
+        HEF_CHECK_MSG(i < t.dcols.size(),
+                      "chunked scan: too many distinct plan columns");
+        t.dcols[i] = {flat, col, nullptr, nullptr};
+        ++t.n_dcols;
       }
-      const storage::ChunkedColumn* col = t.chunked->Find(flat);
-      HEF_CHECK_MSG(col != nullptr,
-                    "chunked scan: plan column is not a fact column");
-      HEF_CHECK_MSG(t.n_dcols < t.dcols.size(),
-                    "chunked scan: too many distinct plan columns");
-      if (buf.decoded[t.n_dcols].capacity() < block) {
-        buf.decoded[t.n_dcols].Allocate(block, 64);
+      if (read_as_values && t.dcols[i].buffer == nullptr) {
+        if (buf.decoded[i].capacity() < block) {
+          buf.decoded[i].Allocate(block, 64);
+        }
+        t.dcols[i].buffer = buf.decoded[i].data();
       }
-      t.dcols[t.n_dcols] = {flat, col, buf.decoded[t.n_dcols].data(), false};
-      ++t.n_dcols;
     };
-    for (const RangeFilter& f : plan.filters) add(f.col);
-    for (const JoinStage& j : plan.joins) add(j.fact_key);
-    add(plan.value_a);
-    add(plan.value_b);
+    for (const RangeFilter& f : plan.filters) add(f.col, false);
+    for (const JoinStage& j : plan.joins) add(j.fact_key, true);
+    add(plan.value_a, true);
+    add(plan.value_b, true);
     buf.decode_scratch.EnsureCapacity(block);
     return t;
   }
@@ -191,11 +202,17 @@ struct SsbEngine::Impl {
   // Runs the pipeline over the `bn` fact rows of the block at row b0,
   // accumulating into `acc` (group sums sized plan.gid_domain).
   //
+  // The chunked scan decodes late: filters compare codes as stored (their
+  // [lo, hi] rewritten into each chunk's code space), a column read while
+  // the selection is still the identity is decoded whole once, and every
+  // other column is decoded at the surviving rows only.
+  //
   // When acc.ops is non-empty, per-operator wall time / row counts are
-  // accumulated into it (layout: filters, then probes, then group-by); a
-  // non-null t.pmu additionally brackets every operator with group reads
-  // so counter deltas attribute to operators. Both off on the default
-  // path, which then pays nothing beyond a branch per operator per block.
+  // accumulated into it (layout: filters, then probes, then group-by,
+  // then decode); a non-null t.pmu additionally brackets every operator
+  // with group reads so counter deltas attribute to operators. Both off
+  // on the default path, which then pays nothing beyond a branch per
+  // operator per block.
   void ExecuteBlock(const StarPlan& plan,
                     const std::vector<std::unique_ptr<BloomFilter>>& blooms,
                     ScanThread& t, std::size_t b0, std::size_t bn,
@@ -223,12 +240,17 @@ struct SsbEngine::Impl {
     // Operator-window bracketing. op_begin/op_end cost nothing (one
     // predictable branch) when stats are off; with stats they read the
     // monotonic clock, and with a PMU attached also snapshot the counter
-    // group, so deltas land on the operator that spent them.
+    // group, so deltas land on the operator that spent them. Decode
+    // windows nest inside operator windows: the decode row takes their
+    // time, values and PMU deltas, and the enclosing operator gives them
+    // back, so the rows still sum to the pipeline's wall time.
     const bool stats = !acc.ops.empty();
     std::uint64_t op_t0 = 0;
     PerfReading op_p0;
+    OpAcc nested;  // decode spent inside the open operator window
     auto op_begin = [&] {
       if (!stats) return;
+      nested = OpAcc();
       if (pmu != nullptr) op_p0 = pmu->ReadNow();
       op_t0 = MonotonicNanos();
     };
@@ -239,7 +261,7 @@ struct SsbEngine::Impl {
                       std::uint64_t out_rows, bool count_call = true) {
       if (!stats) return;
       OpAcc& a = acc.ops[idx];
-      a.nanos += MonotonicNanos() - op_t0;
+      a.nanos += SaturatingDelta(MonotonicNanos() - op_t0, nested.nanos);
       if (count_call) {
         ++a.calls;
         a.rows_in += in_rows;
@@ -248,10 +270,14 @@ struct SsbEngine::Impl {
       if (pmu != nullptr) {
         const PerfReading p1 = pmu->ReadNow();
         if (p1.valid && op_p0.valid) {
-          a.instructions +=
-              SaturatingDelta(p1.instructions, op_p0.instructions);
-          a.cycles += SaturatingDelta(p1.cycles, op_p0.cycles);
-          a.llc_misses += SaturatingDelta(p1.llc_misses, op_p0.llc_misses);
+          a.instructions += SaturatingDelta(
+              SaturatingDelta(p1.instructions, op_p0.instructions),
+              nested.instructions);
+          a.cycles += SaturatingDelta(SaturatingDelta(p1.cycles, op_p0.cycles),
+                                      nested.cycles);
+          a.llc_misses += SaturatingDelta(
+              SaturatingDelta(p1.llc_misses, op_p0.llc_misses),
+              nested.llc_misses);
           a.pmu_valid = true;
           a.pmu_scaled = a.pmu_scaled || p1.scaled;
         }
@@ -259,6 +285,36 @@ struct SsbEngine::Impl {
     };
     const std::size_t probe_acc_base = plan.filters.size();
     const std::size_t groupby_acc = probe_acc_base + plan.joins.size();
+    const std::size_t decode_acc = groupby_acc + 1;
+    std::uint64_t dec_t0 = 0;
+    PerfReading dec_p0;
+    auto decode_begin = [&] {
+      if (!stats) return;
+      if (pmu != nullptr) dec_p0 = pmu->ReadNow();
+      dec_t0 = MonotonicNanos();
+    };
+    auto decode_end = [&](std::uint64_t values) {
+      t.values_decoded += values;
+      if (!stats) return;
+      OpAcc d;
+      d.nanos = MonotonicNanos() - dec_t0;
+      d.calls = 1;
+      d.rows_in = values;
+      d.rows_out = values;
+      if (pmu != nullptr) {
+        const PerfReading p1 = pmu->ReadNow();
+        if (p1.valid && dec_p0.valid) {
+          d.instructions =
+              SaturatingDelta(p1.instructions, dec_p0.instructions);
+          d.cycles = SaturatingDelta(p1.cycles, dec_p0.cycles);
+          d.llc_misses = SaturatingDelta(p1.llc_misses, dec_p0.llc_misses);
+          d.pmu_valid = true;
+          d.pmu_scaled = p1.scaled;
+        }
+      }
+      acc.ops[decode_acc].Merge(d);
+      nested.Merge(d);
+    };
     // Multi-predicate WHERE clauses (the Q1.x plans) evaluate as bitmap
     // scans + one conjunction on the vector flavours; the scalar flavour
     // compacts after every predicate, which measures faster there.
@@ -271,27 +327,41 @@ struct SsbEngine::Impl {
     int probed_count = 0;
     std::size_t n = bn;
     bool identity = true;  // rows == [0, n), block-local
-    for (std::size_t i = 0; i < t.n_dcols; ++i) t.dcols[i].ready = false;
+    for (std::size_t i = 0; i < t.n_dcols; ++i) t.dcols[i].base = nullptr;
 
-    // Base pointer of a fact column for this block: flat data at b0,
-    // or the block decoded from the chunked shadow on first touch.
-    // Row ids are block-local, so every downstream gather works off
-    // this base regardless of the storage layout.
-    auto column_base = [&](const ssb::Column& col)
-        -> const std::uint64_t* {
-      if (t.chunked == nullptr) return col.data() + b0;
+    auto dcol = [&](const ssb::Column& col) -> DecodedCol& {
       for (std::size_t i = 0; i < t.n_dcols; ++i) {
-        DecodedCol& d = t.dcols[i];
-        if (d.flat != &col) continue;
-        if (!d.ready) {
-          d.col->DecodeRange(t.decode_cfg, b0, bn, buf.decode_scratch,
-                             d.data);
-          d.ready = true;
-        }
-        return d.data;
+        if (t.dcols[i].flat == &col) return t.dcols[i];
       }
       HEF_CHECK_MSG(false, "column not registered for chunked scan");
       __builtin_unreachable();
+    };
+    // Base pointer of a fact column's values for the whole block without
+    // decoding anything — flat data at b0, a plain chunk's words in place,
+    // or a block decoded earlier — else null. Row ids are block-local, so
+    // every downstream gather works off this base regardless of the
+    // storage layout.
+    auto known_base = [&](const ssb::Column& col) -> const std::uint64_t* {
+      if (t.chunked == nullptr) return col.data() + b0;
+      DecodedCol& d = dcol(col);
+      if (d.base == nullptr) {
+        const storage::ColumnChunk& chunk = d.col->ChunkOf(b0);
+        if (chunk.encoding == storage::Encoding::kPlain) {
+          d.base = chunk.words.data() + b0 % d.col->chunk_rows();
+        }
+      }
+      return d.base;
+    };
+    // As known_base, decoding the whole block on first touch if needed.
+    auto column_base = [&](const ssb::Column& col) -> const std::uint64_t* {
+      if (const std::uint64_t* base = known_base(col)) return base;
+      DecodedCol& d = dcol(col);
+      HEF_DCHECK(d.buffer != nullptr);
+      decode_begin();
+      d.col->DecodeRange(t.decode_cfg, b0, bn, buf.decode_scratch, d.buffer);
+      decode_end(bn);
+      d.base = d.buffer;
+      return d.base;
     };
 
     // Applies the survivor positions in pos[0..m) to the row-id vector
@@ -314,54 +384,104 @@ struct SsbEngine::Impl {
       n = m;
     };
 
-    // Fetches a fact column for the current selection.
+    // Fetches a fact column's values for the current selection: the whole
+    // block while the selection is the identity, else a gather from the
+    // block's values if they are whole, else a decode of the survivors.
     auto fetch = [&](const ssb::Column& col,
                      AlignedBuffer<std::uint64_t>& out)
         -> const std::uint64_t* {
-      const std::uint64_t* base = column_base(col);
-      if (identity) return base;
-      GatherArray(gather_cfg, base, rows.data(), out.data(), n);
+      if (identity) return column_base(col);
+      if (const std::uint64_t* base = known_base(col)) {
+        GatherArray(gather_cfg, base, rows.data(), out.data(), n);
+        return out.data();
+      }
+      decode_begin();
+      dcol(col).col->DecodeAt(t.decode_cfg, b0, rows.data(), n,
+                              buf.decode_scratch, out.data());
+      decode_end(n);
       return out.data();
+    };
+
+    // A filter on this block: its [lo, hi] in the chunk's code space (the
+    // value space for the flat scan and plain chunks), or a verdict for the
+    // whole block when the chunk's zone map settles it.
+    auto filter_range = [&](std::size_t fi) -> storage::CodeRange {
+      const RangeFilter& f = plan.filters[fi];
+      if (t.chunked == nullptr) {
+        return {storage::CodeRange::Verdict::kCompare, f.lo, f.hi};
+      }
+      return storage::CodeRangeFor(dcol(*f.col).col->ChunkOf(b0), f.lo,
+                                   f.hi);
+    };
+    // The codes a filter compares for the current selection: values where
+    // they are whole (flat data, plain chunks), else codes unpacked from
+    // the packed chunk, never decoded to values.
+    auto filter_codes = [&](const ssb::Column& col) -> const std::uint64_t* {
+      if (t.chunked == nullptr ||
+          dcol(col).col->ChunkOf(b0).encoding == storage::Encoding::kPlain) {
+        return fetch(col, vals_a);
+      }
+      decode_begin();
+      dcol(col).col->CodesAt(
+          t.decode_cfg, b0,
+          identity ? buf.decode_scratch.iota() : rows.data(), n,
+          vals_a.data());
+      decode_end(n);
+      return vals_a.data();
     };
 
     // Range filters: either evaluate all predicates as bitmaps and
     // conjoin once (fused selection scans) or compact after every
     // predicate (the vectorized-pipeline default).
+    using Verdict = storage::CodeRange::Verdict;
     if (fused_filters) {
       // Filters precede joins in every plan, so the selection is still
-      // the identity here and columns can be scanned in place.
-      std::size_t live = 0;
+      // the identity here and every filter scans the whole block.
+      std::size_t live = n;
+      bool conjoined = false;  // bitmap_a holds the filters so far
       std::size_t last_fi = 0;
       for (std::size_t fi = 0; fi < plan.filters.size(); ++fi) {
-        const RangeFilter& f = plan.filters[fi];
         op_begin();
-        std::uint64_t* target =
-            fi == 0 ? bitmap_a.data() : bitmap_b.data();
-        live = ScanRangeBitmap(flavor, column_base(*f.col), n, f.lo,
-                               f.hi, target);
-        if (fi > 0) {
-          live = BitmapAnd(bitmap_a.data(), bitmap_b.data(), n);
+        const storage::CodeRange r = filter_range(fi);
+        if (r.verdict == Verdict::kNone) {
+          live = 0;
+        } else if (r.verdict == Verdict::kCompare) {
+          std::uint64_t* target =
+              conjoined ? bitmap_b.data() : bitmap_a.data();
+          live = ScanRangeBitmap(flavor, filter_codes(*plan.filters[fi].col),
+                                 n, r.lo, r.hi, target);
+          if (conjoined) {
+            live = BitmapAnd(bitmap_a.data(), bitmap_b.data(), n);
+          }
+          conjoined = true;
         }
         op_end(fi, n, live);
         last_fi = fi;
         if (live == 0) break;
       }
-      op_begin();
-      const std::size_t m =
-          live == 0 ? 0
-                    : BitmapToPositions(bitmap_a.data(), n, pos.data());
-      apply_selection(m);
-      op_end(last_fi, 0, 0, /*count_call=*/false);
+      if (live == 0 || conjoined) {
+        op_begin();
+        const std::size_t m =
+            live == 0 ? 0
+                      : BitmapToPositions(bitmap_a.data(), n, pos.data());
+        apply_selection(m);
+        op_end(last_fi, 0, 0, /*count_call=*/false);
+      }
     } else {
       for (std::size_t fi = 0; fi < plan.filters.size(); ++fi) {
         const RangeFilter& f = plan.filters[fi];
         if (n == 0) break;
         op_begin();
-        const std::uint64_t* v = fetch(*f.col, vals_a);
-        const std::size_t m =
-            CompactInRange(flavor, v, n, f.lo, f.hi, pos.data());
         const std::size_t in_rows = n;
-        apply_selection(m);
+        const storage::CodeRange r = filter_range(fi);
+        if (r.verdict != Verdict::kAll) {
+          const std::size_t m =
+              r.verdict == Verdict::kNone
+                  ? 0
+                  : CompactInRange(flavor, filter_codes(*f.col), n, r.lo,
+                                   r.hi, pos.data());
+          apply_selection(m);
+        }
         op_end(fi, in_rows, n);
       }
     }
@@ -386,7 +506,11 @@ struct SsbEngine::Impl {
             op_end(probe_acc_base + ji, in_rows, 0);
             break;
           }
-          k = fetch(*j.fact_key, keys);
+          // The surviving keys are k at the positions just kept, so they
+          // are gathered, never fetched (and decoded) a second time.
+          // bloom_out is free again once compacted.
+          GatherArray(gather_cfg, k, pos.data(), bloom_out.data(), n);
+          k = bloom_out.data();
         }
       }
       const int slot = j.payload_slot;
@@ -461,6 +585,8 @@ struct SsbEngine::Impl {
         stats ? &telemetry::MetricsRegistry::Get().histogram(
                     "engine.block_qualifying_rows")
               : nullptr;
+    telemetry::Counter& rows_decoded =
+        telemetry::MetricsRegistry::Get().counter("storage.rows_decoded");
     const BlockWorker worker = [&](bool inline_path,
                                    exec::MorselCursor& cursor,
                                    BlockAccumulator& acc) {
@@ -478,12 +604,16 @@ struct SsbEngine::Impl {
         ExecuteBlock(plan, extras.blooms, scan, b0,
                      std::min(block, total - b0), acc, block_hist);
       }
+      if (scan.values_decoded > 0) {
+        rows_decoded.Increment(scan.values_decoded);
+      }
     };
     const BlockDispatch dispatch{
         (total + block - 1) / block,
         pruning != nullptr ? &extras.live_blocks : nullptr,
         config.threads,
         stats,
+        /*decode_row=*/chunked != nullptr,
         "engine.morsel",
         "engine.pipeline",
         "engine.worker"};
@@ -510,8 +640,9 @@ struct SsbEngine::Impl {
     auto& ops = result.operator_stats;
     auto& registry = telemetry::MetricsRegistry::Get();
     const std::size_t stages = plan.filters.size() + plan.joins.size();
+    const std::size_t first_stage = ops.size() - stages - 1;  // past decode
     for (std::size_t idx = 0; idx < stages; ++idx) {
-      OperatorStats& s = ops[idx];
+      OperatorStats& s = ops[first_stage + idx];
       if (pruning != nullptr && idx < pruning->reached.size()) {
         s.chunks_pruned = pruning->pruned_by[idx];
         s.chunks_scanned = pruning->reached[idx] - s.chunks_pruned;

@@ -12,10 +12,11 @@ namespace hef {
 namespace {
 
 // Operator kind, classified from the stats-row naming convention the
-// engines share ("build", "build.bloom", "filter.<col>", "probe.<col>",
-// "groupby").
+// engines share ("build", "build.bloom", "decode", "filter.<col>",
+// "probe.<col>", "groupby").
 const char* OperatorKind(const std::string& name) {
   if (name == "groupby") return "aggregate";
+  if (name == "decode") return "decode";
   if (name.rfind("build", 0) == 0) return "build";
   if (name.rfind("filter.", 0) == 0) return "filter";
   if (name.rfind("probe.", 0) == 0) return "probe";
@@ -119,7 +120,11 @@ std::string ExplainToText(const ExplainMeta& meta,
              " p" + std::to_string(t->p) + ")";
     }
     out += "  self=" + FormatMs(op.wall_nanos) + "ms";
-    if (op.rows_in != 0 || op.rows_out != 0) {
+    if (kind == "decode") {
+      // One row per value read out of encoded storage: filter codes
+      // unpacked, and columns decoded whole or at their survivors.
+      out += "  values=" + FormatRows(op.rows_out);
+    } else if (op.rows_in != 0 || op.rows_out != 0) {
       out += "  rows " + FormatRows(op.rows_in) + " -> " +
              FormatRows(op.rows_out);
       if (op.rows_in != 0 && kind != "build" && kind != "aggregate") {
@@ -196,6 +201,7 @@ std::string ExplainToJson(const ExplainMeta& meta,
     w.Key("rows_in").UInt(op.rows_in);
     w.Key("rows_out").UInt(op.rows_out);
     w.Key("selectivity").Double(op.Selectivity());
+    if (kind == "decode") w.Key("values_decoded").UInt(op.rows_out);
     if (op.chunks_scanned != 0 || op.chunks_pruned != 0) {
       w.Key("chunks_scanned").UInt(op.chunks_scanned);
       w.Key("chunks_pruned").UInt(op.chunks_pruned);

@@ -2,7 +2,9 @@
 // stats-collecting Run accumulated (QueryResult::operator_stats plus the
 // diagnostics envelope) as a plan tree — which operator, which kernel
 // flavor, which tuned (v,s,p) point, how many rows survived, how long it
-// took, whether the plan came from cache.
+// took, whether the plan came from cache. A chunked scan adds a decode
+// row: the values it read out of encoded storage and the time and PMU
+// deltas that cost, taken out of the operator rows that asked for them.
 //
 // Two renderings share one traversal: a human text tree (`hef query
 // --explain`) and the machine-readable `hef-explain-v1` JSON document

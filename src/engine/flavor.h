@@ -85,8 +85,9 @@ struct EngineConfig {
   // end-to-end per-query time (build included) turn it off.
   bool plan_cache = true;
   // Scan the fact table through the chunked, per-chunk-encoded shadow
-  // (ssb::EnsureChunked) instead of the flat columns, decoding each
-  // pipeline block on first touch. Requires db.chunked to be built with
+  // (ssb::EnsureChunked) instead of the flat columns. Filters compare
+  // codes as stored and other columns decode only the rows that survive
+  // to them (SsbEngine::ExecuteBlock). Requires db.chunked to be built with
   // chunk_rows a multiple of block_size; Run() rejects the query
   // otherwise.
   bool chunked_scan = false;

@@ -154,7 +154,7 @@ void OpAcc::Merge(const OpAcc& o) {
 BlockAccumulator::BlockAccumulator(const StarPlan& plan, bool stats)
     : agg(plan.gid_domain, 0),
       cnt(plan.gid_domain, 0),
-      ops(stats ? plan.filters.size() + plan.joins.size() + 1 : 0) {}
+      ops(stats ? plan.filters.size() + plan.joins.size() + 2 : 0) {}
 
 namespace {
 
@@ -247,6 +247,7 @@ QueryResult DispatchBlocks(const StarPlan& plan,
   if (stats) {
     auto& ops = result.operator_stats;
     ops.reserve(acc.ops.size() + 2);  // + the engine's build rows
+    if (dispatch.decode_row) ops.push_back(ToStats("decode", acc.ops.back()));
     std::size_t idx = 0;
     for (const RangeFilter& f : plan.filters) {
       ops.push_back(ToStats(std::string("filter.") + FactColumnName(lo, f.col),

@@ -146,15 +146,20 @@ class QueryShell {
       fresh = std::make_unique<Entry>(std::move(built).value());
       entry = fresh.get();
     }
+    // The build row closes here, so it never overlaps the operator rows
+    // of the execution below.
+    OperatorStats build_row;
+    if (options_.collect_stats) {
+      build_row = shell_internal::BuildRow(entry->bound, t0, pmu.get());
+    }
     QueryResult result;
     HEF_RETURN_NOT_OK(shell_internal::GuardExecution(
         id, [&] { result = execute(*entry, cache_hit); }));
     HEF_RETURN_NOT_OK(ctx.Check());
     result.plan_cache_hit = cache_hit;
     if (options_.collect_stats) {
-      result.operator_stats.insert(
-          result.operator_stats.begin(),
-          shell_internal::BuildRow(entry->bound, t0, pmu.get()));
+      result.operator_stats.insert(result.operator_stats.begin(),
+                                   std::move(build_row));
     }
     return result;
   }
@@ -191,8 +196,9 @@ struct BlockAccumulator {
   std::vector<std::uint64_t> agg;  // per group id
   std::vector<std::uint64_t> cnt;
   std::uint64_t qualifying = 0;
-  // Layout: filters, then probes, then group-by. Empty unless stats are
-  // collected, so kernels test `ops.empty()` to skip the bracketing.
+  // Layout: filters, then probes, then group-by, then decode. Empty
+  // unless stats are collected, so kernels test `ops.empty()` to skip the
+  // bracketing.
   std::vector<OpAcc> ops;
 
   BlockAccumulator(const StarPlan& plan, bool stats);
@@ -211,6 +217,7 @@ struct BlockDispatch {
   const std::vector<std::uint32_t>* live_blocks = nullptr;
   int threads = 0;  // configured; 0 = auto
   bool collect_stats = false;
+  bool decode_row = false;  // the kernel decodes encoded storage
   const char* fault_site = nullptr;   // "<engine>.morsel", passed per block
   const char* inline_span = nullptr;  // optional span around the inline run
   const char* worker_span = nullptr;  // span on each pool worker
@@ -222,7 +229,8 @@ struct BlockDispatch {
 // private accumulators merged in worker order — group sums commute, so
 // results are bit-identical to single-threaded. Fills rows (decoded,
 // sorted), qualifying_rows, morsels (the blocks run) and, with stats, one
-// filter.<col> / probe.<col> / groupby row per operator.
+// filter.<col> / probe.<col> / groupby row per operator, led by the
+// decode row when `decode_row` is set.
 //
 // Pool runs publish exec.morsels_dispatched, exec.pool_threads and
 // exec.worker_busy_fraction; every run publishes exec.morsel_yields.

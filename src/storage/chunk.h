@@ -80,6 +80,15 @@ struct ZoneMap {
     if (all_null()) return false;
     return lo <= max && hi >= min;
   }
+
+  // Does every row of the chunk satisfy lo <= value <= hi, sentinels
+  // compared as kNullValue? A filter that holds for the whole chunk need
+  // not run on it.
+  bool AllInRange(std::uint64_t lo, std::uint64_t hi) const {
+    if (null_count > 0 && hi < kNullValue) return false;
+    if (all_null()) return true;
+    return lo <= min && max <= hi;
+  }
 };
 
 // Equal-width histogram over the zone map's [min, max] span (non-null

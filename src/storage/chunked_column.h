@@ -35,6 +35,30 @@ class ChunkedColumn {
                    std::size_t count, DecodeScratch& scratch,
                    std::uint64_t* out) const;
 
+  // Late materialization: decodes only the rows block_begin + pos[i],
+  // i in [0, n), into out[i]. Positions ascend, and every such row must
+  // lie in the chunk that holds block_begin (an engine block never
+  // straddles chunks). The positions are the unpack kernel's index
+  // stream, then for_add or dict_gather runs over the n codes; a plain
+  // chunk is gathered from directly. `scratch` stages the codes (it grows
+  // to n if needed).
+  void DecodeAt(const HybridConfig& cfg, std::size_t block_begin,
+                const std::uint64_t* pos, std::size_t n,
+                DecodeScratch& scratch, std::uint64_t* out) const;
+
+  // As DecodeAt, but stops at the codes as stored: FoR deltas, dictionary
+  // codes, plain values, or 0 for a width-0 chunk. Filters compare them
+  // against CodeRangeFor(chunk, lo, hi), so a filter column is never
+  // materialized as values.
+  void CodesAt(const HybridConfig& cfg, std::size_t block_begin,
+               const std::uint64_t* pos, std::size_t n,
+               std::uint64_t* out) const;
+
+  // The chunk holding `row`.
+  const ColumnChunk& ChunkOf(std::size_t row) const {
+    return chunks_[row / chunk_rows_];
+  }
+
   // Payload bytes actually held (packed words + dictionaries + chunk
   // metadata) vs. the flat 8-bytes-per-row layout.
   std::size_t EncodedBytes() const;

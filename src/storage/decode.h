@@ -43,11 +43,12 @@ class DecodeScratch {
   AlignedBuffer<std::uint64_t> stage_;
 };
 
-// out[i] = (words[((first + i) * width) >> 6] >> (((first + i) * width) & 63))
-//          & (2^width - 1), for i in [0, n).
-// `idx` must be the 0,1,2,... stream (DecodeScratch::iota); `first` is the
-// chunk-local index of the first value to unpack. width must be a nonzero
-// member of kPackedWidths.
+// out[i] = (words[(r * width) >> 6] >> ((r * width) & 63)) & (2^width - 1)
+// with r = first + idx[i], for i in [0, n). `first` is a chunk-local row
+// and idx an ascending stream of offsets from it: the 0,1,2,... stream
+// (DecodeScratch::iota) unpacks a contiguous window, a selection vector
+// unpacks just those rows. Every r must lie inside the chunk. width must
+// be a nonzero member of kPackedWidths.
 void UnpackBitsArray(const HybridConfig& cfg, const std::uint64_t* words,
                      std::uint8_t width, std::size_t first,
                      const std::uint64_t* idx, std::uint64_t* out,

@@ -78,6 +78,39 @@ void EncodeDict(const std::uint64_t* values, std::size_t n,
 
 }  // namespace
 
+CodeRange CodeRangeFor(const ColumnChunk& chunk, std::uint64_t lo,
+                       std::uint64_t hi) {
+  using Verdict = CodeRange::Verdict;
+  // The zone map settles chunks wholly outside or inside [lo, hi], so a
+  // width-0 chunk never reaches a comparison.
+  if (lo > hi || !chunk.zone.MayContainRange(lo, hi)) return {};
+  if (chunk.zone.AllInRange(lo, hi)) return {Verdict::kAll};
+  switch (chunk.encoding) {
+    case Encoding::kPlain:
+      return {Verdict::kCompare, lo, hi};
+    case Encoding::kFor:
+      // value = reference + code, and reference is the smallest value
+      // (sentinels included), so the zone check put hi >= reference.
+      return {Verdict::kCompare,
+              lo > chunk.reference ? lo - chunk.reference : 0,
+              hi - chunk.reference};
+    case Encoding::kDict: {
+      // The dictionary is sorted, so the entries inside [lo, hi] are the
+      // one run of positions [first >= lo, last <= hi] — possibly none,
+      // when [lo, hi] falls between two entries.
+      const std::uint64_t* begin = chunk.dict.data();
+      const std::uint64_t* end = begin + chunk.dict.size();
+      const auto first =
+          static_cast<std::uint64_t>(std::lower_bound(begin, end, lo) - begin);
+      const auto past =
+          static_cast<std::uint64_t>(std::upper_bound(begin, end, hi) - begin);
+      if (past == first) return {};
+      return {Verdict::kCompare, first, past - 1};
+    }
+  }
+  return {};
+}
+
 const char* EncodingName(Encoding encoding) {
   switch (encoding) {
     case Encoding::kPlain:

@@ -31,6 +31,26 @@ bool EncodingPolicyByName(const char* name, EncodingPolicy* out);
 // costs more than it can save over FoR/plain.
 inline constexpr std::size_t kDictDistinctCap = 4096;
 
+// A value-space range predicate lo <= v <= hi rewritten into one chunk's
+// code space, so a filter compares the codes as stored instead of
+// decoding them: FoR deltas against [lo - reference, hi - reference],
+// dictionary codes against the dictionary positions [lo, hi] spans,
+// plain values against [lo, hi] itself. The rewrite is exact, sentinels
+// included: they compare as kNullValue in either space.
+struct CodeRange {
+  enum class Verdict : std::uint8_t {
+    kNone,     // no row of the chunk passes
+    kAll,      // every row passes; the filter need not run
+    kCompare,  // a row passes iff lo <= code <= hi
+  };
+  Verdict verdict = Verdict::kNone;
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+};
+
+CodeRange CodeRangeFor(const ColumnChunk& chunk, std::uint64_t lo,
+                       std::uint64_t hi);
+
 // Encodes values[0..n) into one chunk. n must be >= 1.
 ColumnChunk EncodeChunk(const std::uint64_t* values, std::size_t n,
                         EncodingPolicy policy);

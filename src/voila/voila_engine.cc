@@ -258,6 +258,7 @@ struct VoilaEngine::Impl {
                                  /*live_blocks=*/nullptr,
                                  config.threads,
                                  config.collect_stats,
+                                 /*decode_row=*/false,
                                  "voila.morsel",
                                  /*inline_span=*/nullptr,
                                  "voila.worker"};

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "perf/drift_monitor.h"
 #include "ssb/chunked_fact.h"
 #include "ssb/database.h"
+#include "storage/encoding.h"
 #include "telemetry/json_value.h"
 #include "telemetry/metrics.h"
 
@@ -28,10 +30,12 @@ namespace {
 constexpr double kSf = 0.01;
 constexpr std::size_t kChunkRows = 8192;
 
-ssb::SsbDatabase MakeChunkedDb() {
+ssb::SsbDatabase MakeChunkedDb(
+    storage::EncodingPolicy policy = storage::EncodingPolicy::kAuto) {
   ssb::SsbDatabase db = ssb::SsbDatabase::Generate(kSf);
   ssb::ChunkedFactOptions options;
   options.chunk_rows = kChunkRows;
+  options.policy = policy;
   ssb::EnsureChunked(db, options);
   return db;
 }
@@ -45,25 +49,47 @@ EngineConfig Config(Flavor flavor, bool chunked, bool pruning) {
   return config;
 }
 
+// Every flavour, encoding policy, pruning and Bloom setting and thread
+// count gives the flat scan's answer, which is the reference answer.
 TEST(ChunkedScanTest, AllQueriesBitIdenticalAcrossScanModes) {
-  const ssb::SsbDatabase db = MakeChunkedDb();
-  for (const Flavor flavor : {Flavor::kScalar, Flavor::kHybrid}) {
-    SsbEngine flat(db, Config(flavor, false, false));
-    SsbEngine chunked(db, Config(flavor, true, false));
-    SsbEngine pruned(db, Config(flavor, true, true));
+  for (const storage::EncodingPolicy policy :
+       {storage::EncodingPolicy::kAuto, storage::EncodingPolicy::kPlain,
+        storage::EncodingPolicy::kDict, storage::EncodingPolicy::kFor}) {
+    const ssb::SsbDatabase db = MakeChunkedDb(policy);
+    std::vector<QueryResult> reference;
     for (const QueryId id : AllQueries()) {
-      const QueryResult want = flat.Run(id);
-      const QueryResult got_chunked = chunked.Run(id);
-      const QueryResult got_pruned = pruned.Run(id);
-      EXPECT_TRUE(want == got_chunked)
-          << QueryName(id) << " chunked mismatch";
-      EXPECT_TRUE(want == got_pruned)
-          << QueryName(id) << " pruned mismatch";
-      // The group rows compare above; qualifying_rows additionally pins
-      // the scan cardinality, so pruning provably dropped only dead
-      // chunks.
-      EXPECT_EQ(want.qualifying_rows, got_pruned.qualifying_rows)
-          << QueryName(id);
+      reference.push_back(RunReferenceQuery(db, id));
+    }
+    for (const Flavor flavor :
+         {Flavor::kScalar, Flavor::kSimd, Flavor::kHybrid}) {
+      SsbEngine flat(db, Config(flavor, false, false));
+      for (const bool pruning : {false, true}) {
+        for (const bool bloom : {false, true}) {
+          for (const int threads : {1, 2}) {
+            EngineConfig config = Config(flavor, true, pruning);
+            config.bloom_prefilter = bloom;
+            config.threads = threads;
+            SsbEngine chunked(db, config);
+            for (std::size_t q = 0; q < AllQueries().size(); ++q) {
+              const QueryId id = AllQueries()[q];
+              const std::string label =
+                  std::string(QueryName(id)) + " " + FlavorName(flavor) +
+                  " " + storage::EncodingPolicyName(policy) +
+                  (pruning ? " pruned" : " unpruned") +
+                  (bloom ? " bloom" : "") + " threads=" +
+                  std::to_string(threads);
+              const QueryResult want = flat.Run(id);
+              const QueryResult got = chunked.Run(id);
+              EXPECT_TRUE(want == reference[q]) << label << " flat";
+              EXPECT_TRUE(got == want) << label;
+              // The group rows compare above; qualifying_rows additionally
+              // pins the scan cardinality, so pruning provably dropped only
+              // dead chunks.
+              EXPECT_EQ(got.qualifying_rows, want.qualifying_rows) << label;
+            }
+          }
+        }
+      }
     }
   }
 }
@@ -121,6 +147,131 @@ TEST(ChunkedScanTest, OperatorStatsAttributePrunes) {
   const std::string json = ExplainToJson(meta, result);
   EXPECT_NE(json.find("\"chunks_total\""), std::string::npos);
   EXPECT_NE(json.find("\"chunks_pruned\""), std::string::npos);
+}
+
+// The distinct fact columns a plan reads.
+std::size_t DistinctPlanColumns(const StarPlan& plan) {
+  std::vector<const ssb::Column*> cols;
+  for (const RangeFilter& f : plan.filters) cols.push_back(f.col);
+  for (const JoinStage& j : plan.joins) cols.push_back(j.fact_key);
+  cols.push_back(plan.value_a);
+  if (plan.value_b != nullptr) cols.push_back(plan.value_b);
+  std::sort(cols.begin(), cols.end());
+  return static_cast<std::size_t>(
+      std::unique(cols.begin(), cols.end()) - cols.begin());
+}
+
+const OperatorStats* FindOperator(const QueryResult& result,
+                                  const std::string& name) {
+  for (const OperatorStats& op : result.operator_stats) {
+    if (op.name == name) return &op;
+  }
+  return nullptr;
+}
+
+// Q2.1 has no fact filter and a selective first join, so only the first
+// probe's key column is decoded whole; the other columns decode at the
+// survivors. Decoding every plan column of every block reads
+// columns x rows_scanned values.
+TEST(ChunkedScanTest, LateMaterializationDecodesOnlySurvivors) {
+  const ssb::SsbDatabase db = MakeChunkedDb();
+  EngineConfig config = Config(Flavor::kHybrid, true, false);
+  config.collect_stats = true;
+  SsbEngine engine(db, config);
+  auto& registry = telemetry::MetricsRegistry::Get();
+  const std::uint64_t decoded0 =
+      registry.counter("storage.rows_decoded").value();
+  const QueryResult result = engine.Run(QueryId::kQ2_1);
+  EXPECT_TRUE(result == RunReferenceQuery(db, QueryId::kQ2_1));
+
+  const OperatorStats* decode = FindOperator(result, "decode");
+  ASSERT_NE(decode, nullptr) << "no decode operator row";
+  const std::uint64_t rows_scanned = db.chunked->rows();
+  const std::size_t columns =
+      DistinctPlanColumns(BuildQueryPlan(db, QueryId::kQ2_1).plan);
+  ASSERT_GE(columns, 2u);
+  EXPECT_GE(decode->rows_out, rows_scanned);  // the first probe's keys
+  EXPECT_LT(decode->rows_out, columns * rows_scanned);
+  EXPECT_EQ(registry.counter("storage.rows_decoded").value() - decoded0,
+            decode->rows_out);
+
+  // The decode row renders in both EXPLAIN forms.
+  const ExplainMeta meta = MakeExplainMeta("Q2.1", "hybrid", config);
+  EXPECT_NE(ExplainToText(meta, result).find("decode  self="),
+            std::string::npos);
+  auto json = telemetry::JsonValue::Parse(ExplainToJson(meta, result));
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  bool found = false;
+  for (const telemetry::JsonValue& op :
+       json.value().Find("operators")->array()) {
+    if (op.StringOr("kind", "") != "decode") continue;
+    found = true;
+    EXPECT_EQ(op.NumberOr("values_decoded", 0),
+              static_cast<double>(decode->rows_out));
+  }
+  EXPECT_TRUE(found);
+}
+
+// The Bloom pre-filter drops only rows the hash probe would drop too, and
+// the keys it keeps are gathered from the ones already fetched: it must
+// not add a single decoded value, on any query or encoding.
+TEST(ChunkedScanTest, BloomPrefilterDecodesNoExtraValues) {
+  for (const storage::EncodingPolicy policy :
+       {storage::EncodingPolicy::kAuto, storage::EncodingPolicy::kDict,
+        storage::EncodingPolicy::kFor}) {
+    const ssb::SsbDatabase db = MakeChunkedDb(policy);
+    EngineConfig config = Config(Flavor::kHybrid, true, false);
+    config.collect_stats = true;
+    SsbEngine plain(db, config);
+    config.bloom_prefilter = true;
+    SsbEngine bloom(db, config);
+    for (const QueryId id : AllQueries()) {
+      const std::string label = std::string(QueryName(id)) + " " +
+                                storage::EncodingPolicyName(policy);
+      const QueryResult without = plain.Run(id);
+      const QueryResult with = bloom.Run(id);
+      EXPECT_TRUE(with == without) << label;
+      const OperatorStats* a = FindOperator(without, "decode");
+      const OperatorStats* b = FindOperator(with, "decode");
+      ASSERT_NE(a, nullptr) << label;
+      ASSERT_NE(b, nullptr) << label;
+      EXPECT_EQ(b->rows_out, a->rows_out) << label;
+    }
+  }
+}
+
+// Decode time moves out of the operators that asked for it: the rows
+// still partition the pipeline, so their sum stays within the Run's wall.
+TEST(ChunkedScanTest, DecodeRowKeepsOperatorRowsWithinWall) {
+  const ssb::SsbDatabase db = MakeChunkedDb();
+  EngineConfig config = Config(Flavor::kHybrid, true, true);
+  config.collect_stats = true;
+  SsbEngine engine(db, config);
+  for (const QueryId id : {QueryId::kQ1_1, QueryId::kQ3_1, QueryId::kQ4_1}) {
+    const QueryResult result = engine.Run(id);
+    std::uint64_t sum = 0;
+    for (const OperatorStats& op : result.operator_stats) {
+      sum += op.wall_nanos;
+    }
+    EXPECT_LE(sum, result.wall_nanos) << QueryName(id);
+    const OperatorStats* decode = FindOperator(result, "decode");
+    ASSERT_NE(decode, nullptr) << QueryName(id);
+    EXPECT_GT(decode->rows_out, 0u) << QueryName(id);
+    // Chunk attribution lands on the stage rows: the first stage after
+    // the decode row is reached by every chunk.
+    EXPECT_EQ(decode->chunks_scanned + decode->chunks_pruned, 0u);
+    const OperatorStats& first_stage = *(decode + 1);
+    EXPECT_EQ(first_stage.chunks_scanned + first_stage.chunks_pruned,
+              result.chunks_total)
+        << QueryName(id) << " " << first_stage.name;
+  }
+  // The flat scan decodes nothing and has no decode row.
+  SsbEngine flat(db, [] {
+    EngineConfig c = Config(Flavor::kHybrid, false, false);
+    c.collect_stats = true;
+    return c;
+  }());
+  EXPECT_EQ(FindOperator(flat.Run(QueryId::kQ2_1), "decode"), nullptr);
 }
 
 TEST(ChunkedScanTest, StorageMetricsAdvance) {

@@ -300,6 +300,222 @@ TEST(ChunkedColumnTest, ShortLastChunkRoundTrips) {
   EXPECT_EQ(DecodeAll(col, HybridConfig{1, 1, 3}), values);
 }
 
+// Four 1024-row chunks and a 300-row tail: nulls in a narrow range, a
+// single-value chunk (width 0 under dict/FoR/auto), few distinct large
+// values, and a random tail.
+std::vector<std::uint64_t> MixedChunkValues() {
+  Rng rng(21);
+  std::vector<std::uint64_t> values;
+  for (int i = 0; i < 1024; ++i) {
+    values.push_back(i % 7 == 0 ? kNullValue : 5000 + rng.Next() % 100);
+  }
+  for (int i = 0; i < 1024; ++i) values.push_back(42);
+  for (int i = 0; i < 1024; ++i) {
+    values.push_back(1'000'000'000ULL * (1 + rng.Next() % 5));
+  }
+  for (int i = 0; i < 1024; ++i) values.push_back(rng.Next() % 70'000);
+  for (int i = 0; i < 300; ++i) values.push_back(19920101 + rng.Next() % 2557);
+  return values;
+}
+
+TEST(ChunkedColumnTest, DecodeAtMatchesDecodeRange) {
+  const std::vector<std::uint64_t> values = MixedChunkValues();
+  const std::size_t chunk_rows = 1024;
+  Rng rng(5);
+  for (const EncodingPolicy policy :
+       {EncodingPolicy::kAuto, EncodingPolicy::kPlain, EncodingPolicy::kDict,
+        EncodingPolicy::kFor}) {
+    const ChunkedColumn col = ChunkedColumn::Encode(
+        values.data(), values.size(), chunk_rows, policy);
+    ASSERT_EQ(col.num_chunks(), 5u);
+    if (policy != EncodingPolicy::kPlain) {
+      EXPECT_EQ(col.chunk(1).width, 0) << EncodingPolicyName(policy);
+    }
+    for (const HybridConfig& cfg : UnpackBitsSupportedConfigs()) {
+      DecodeScratch scratch;
+      const std::vector<std::uint64_t> all = [&] {
+        std::vector<std::uint64_t> out(col.size());
+        scratch.EnsureCapacity(col.size());
+        col.DecodeRange(cfg, 0, col.size(), scratch, out.data());
+        return out;
+      }();
+      ASSERT_EQ(all, values) << EncodingPolicyName(policy) << " "
+                             << cfg.ToString();
+      // Per chunk, at its start and mid-chunk: the first and last row,
+      // every row, and a sparse ascending subset.
+      for (std::size_t c = 0; c < col.num_chunks(); ++c) {
+        const std::size_t rows = col.chunk(c).rows;
+        for (const std::size_t offset : {std::size_t{0}, rows / 2}) {
+          const std::size_t begin = c * chunk_rows + offset;
+          const std::size_t span = rows - offset;
+          std::vector<std::vector<std::uint64_t>> selections(3);
+          selections[0] = {0, span - 1};
+          for (std::size_t i = 0; i < span; ++i) {
+            selections[1].push_back(i);
+            if (rng.Next() % 10 == 0) selections[2].push_back(i);
+          }
+          for (const auto& pos : selections) {
+            std::vector<std::uint64_t> out(pos.size() + 1, 7);
+            col.DecodeAt(cfg, begin, pos.data(), pos.size(), scratch,
+                         out.data());
+            for (std::size_t i = 0; i < pos.size(); ++i) {
+              ASSERT_EQ(out[i], all[begin + pos[i]])
+                  << EncodingPolicyName(policy) << " " << cfg.ToString()
+                  << " chunk " << c << " row " << pos[i];
+            }
+            EXPECT_EQ(out[pos.size()], 7u);  // nothing past n written
+          }
+        }
+      }
+    }
+  }
+}
+
+// The codes CodesAt returns, compared against CodeRangeFor's rewrite,
+// select exactly the rows lo <= value <= hi selects.
+TEST(ChunkedColumnTest, CodeSpaceFiltersMatchValueFilters) {
+  const std::vector<std::uint64_t> values = MixedChunkValues();
+  const std::uint64_t probes[] = {0,        41,         42,
+                                  43,       5000,       5049,
+                                  5099,     70'000,     19920101,
+                                  19922000, 1'000'000'000ULL,
+                                  3'000'000'000ULL, kNullValue - 1,
+                                  kNullValue};
+  for (const EncodingPolicy policy :
+       {EncodingPolicy::kAuto, EncodingPolicy::kPlain, EncodingPolicy::kDict,
+        EncodingPolicy::kFor}) {
+    const ChunkedColumn col = ChunkedColumn::Encode(
+        values.data(), values.size(), 1024, policy);
+    std::vector<std::uint64_t> pos(1024);
+    for (std::size_t i = 0; i < pos.size(); ++i) pos[i] = i;
+    std::vector<std::uint64_t> codes(1024);
+    for (std::size_t c = 0; c < col.num_chunks(); ++c) {
+      const ColumnChunk& chunk = col.chunk(c);
+      col.CodesAt(HybridConfig{1, 1, 3}, c * 1024, pos.data(), chunk.rows,
+                  codes.data());
+      for (const std::uint64_t lo : probes) {
+        for (const std::uint64_t hi : probes) {
+          const CodeRange r = CodeRangeFor(chunk, lo, hi);
+          for (std::size_t i = 0; i < chunk.rows; ++i) {
+            const std::uint64_t v = values[c * 1024 + i];
+            const bool want = lo <= v && v <= hi;
+            const bool got =
+                r.verdict == CodeRange::Verdict::kAll ||
+                (r.verdict == CodeRange::Verdict::kCompare &&
+                 r.lo <= codes[i] && codes[i] <= r.hi);
+            ASSERT_EQ(got, want)
+                << EncodingPolicyName(policy) << " chunk " << c << " ["
+                << lo << ", " << hi << "] row " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CodeRangeFor
+
+ColumnChunk ChunkOf(std::vector<std::uint64_t> values,
+                    EncodingPolicy policy) {
+  return EncodeChunk(values.data(), values.size(), policy);
+}
+
+TEST(CodeRangeTest, ForBoundsShiftByReference) {
+  const ColumnChunk chunk =
+      ChunkOf({1000, 1003, 1010, 1100}, EncodingPolicy::kFor);
+  ASSERT_EQ(chunk.encoding, Encoding::kFor);
+  ASSERT_EQ(chunk.reference, 1000u);
+  const CodeRange r = CodeRangeFor(chunk, 1003, 1050);
+  EXPECT_EQ(r.verdict, CodeRange::Verdict::kCompare);
+  EXPECT_EQ(r.lo, 3u);
+  EXPECT_EQ(r.hi, 50u);
+  // A lower bound under the reference clamps to code 0.
+  const CodeRange low = CodeRangeFor(chunk, 5, 1009);
+  EXPECT_EQ(low.verdict, CodeRange::Verdict::kCompare);
+  EXPECT_EQ(low.lo, 0u);
+  EXPECT_EQ(low.hi, 9u);
+}
+
+TEST(CodeRangeTest, BoundsOutsideTheChunkAreNone) {
+  for (const EncodingPolicy policy :
+       {EncodingPolicy::kPlain, EncodingPolicy::kDict, EncodingPolicy::kFor}) {
+    const ColumnChunk chunk = ChunkOf({10, 20, 30}, policy);
+    EXPECT_EQ(CodeRangeFor(chunk, 0, 9).verdict, CodeRange::Verdict::kNone)
+        << EncodingPolicyName(policy);  // below the minimum
+    EXPECT_EQ(CodeRangeFor(chunk, 31, 1000).verdict,
+              CodeRange::Verdict::kNone)
+        << EncodingPolicyName(policy);  // above the maximum
+    EXPECT_EQ(CodeRangeFor(chunk, 25, 15).verdict, CodeRange::Verdict::kNone)
+        << EncodingPolicyName(policy);  // lo > hi
+    EXPECT_EQ(CodeRangeFor(chunk, 0, 1000).verdict, CodeRange::Verdict::kAll)
+        << EncodingPolicyName(policy);
+    EXPECT_EQ(CodeRangeFor(chunk, 10, 30).verdict, CodeRange::Verdict::kAll)
+        << EncodingPolicyName(policy);  // exactly the zone span
+  }
+}
+
+TEST(CodeRangeTest, DictBoundsBetweenEntries) {
+  const ColumnChunk chunk =
+      ChunkOf({10, 20, 30, 40, 10, 40}, EncodingPolicy::kDict);
+  ASSERT_EQ(chunk.encoding, Encoding::kDict);
+  // Strictly between two entries: no code can match.
+  EXPECT_EQ(CodeRangeFor(chunk, 11, 19).verdict, CodeRange::Verdict::kNone);
+  // Bounds between entries round inward to the entries they enclose.
+  const CodeRange r = CodeRangeFor(chunk, 15, 35);
+  EXPECT_EQ(r.verdict, CodeRange::Verdict::kCompare);
+  EXPECT_EQ(r.lo, 1u);  // 20
+  EXPECT_EQ(r.hi, 2u);  // 30
+  const CodeRange exact = CodeRangeFor(chunk, 20, 20);
+  EXPECT_EQ(exact.verdict, CodeRange::Verdict::kCompare);
+  EXPECT_EQ(exact.lo, 1u);
+  EXPECT_EQ(exact.hi, 1u);
+}
+
+TEST(CodeRangeTest, UpperBoundAtSentinelKeepsNulls) {
+  const ColumnChunk dict =
+      ChunkOf({10, kNullValue, 30, 20}, EncodingPolicy::kDict);
+  ASSERT_EQ(dict.encoding, Encoding::kDict);
+  // Sentinels compare as kNullValue: [20, kNullValue] holds 20, 30 and
+  // the null, i.e. dictionary codes 1..3.
+  const CodeRange r = CodeRangeFor(dict, 20, kNullValue);
+  EXPECT_EQ(r.verdict, CodeRange::Verdict::kCompare);
+  EXPECT_EQ(r.lo, 1u);
+  EXPECT_EQ(r.hi, 3u);
+  EXPECT_EQ(CodeRangeFor(dict, 0, kNullValue).verdict,
+            CodeRange::Verdict::kAll);
+  // Below the sentinel the null row fails, so the chunk is not all-pass.
+  const CodeRange finite = CodeRangeFor(dict, 0, kNullValue - 1);
+  EXPECT_EQ(finite.verdict, CodeRange::Verdict::kCompare);
+  EXPECT_EQ(finite.hi, 2u);
+
+  const ColumnChunk plain =
+      ChunkOf({10, kNullValue, 30}, EncodingPolicy::kPlain);
+  const CodeRange p = CodeRangeFor(plain, 20, kNullValue);
+  EXPECT_EQ(p.verdict, CodeRange::Verdict::kCompare);
+  EXPECT_EQ(p.hi, kNullValue);
+  // An all-null chunk passes only a predicate reaching the sentinel.
+  const ColumnChunk nulls =
+      ChunkOf({kNullValue, kNullValue}, EncodingPolicy::kFor);
+  EXPECT_EQ(CodeRangeFor(nulls, 0, kNullValue).verdict,
+            CodeRange::Verdict::kAll);
+  EXPECT_EQ(CodeRangeFor(nulls, 0, kNullValue - 1).verdict,
+            CodeRange::Verdict::kNone);
+}
+
+TEST(ZoneMapTest, AllInRangeHonoursNulls) {
+  ZoneMap zone;
+  zone.Observe(100);
+  zone.Observe(200);
+  EXPECT_TRUE(zone.AllInRange(100, 200));
+  EXPECT_TRUE(zone.AllInRange(0, kNullValue));
+  EXPECT_FALSE(zone.AllInRange(101, 200));
+  EXPECT_FALSE(zone.AllInRange(100, 199));
+  zone.Observe(kNullValue);
+  EXPECT_FALSE(zone.AllInRange(0, kNullValue - 1));
+  EXPECT_TRUE(zone.AllInRange(100, kNullValue));
+}
+
 TEST(ChunkedColumnTest, EncodedBytesBeatPlainOnCompressibleData) {
   std::vector<std::uint64_t> values(65536);
   for (std::size_t i = 0; i < values.size(); ++i) {
