@@ -1,151 +1,37 @@
 #include "analysis/dependence_checker.h"
 
-#include <cctype>
 #include <map>
-#include <sstream>
+#include <tuple>
 
 #include "telemetry/metrics.h"
 
 namespace hef {
 namespace analysis {
 
-namespace {
-
-std::string Trim(const std::string& s) {
-  const auto begin = s.find_first_not_of(" \t\r");
-  if (begin == std::string::npos) return "";
-  const auto end = s.find_last_not_of(" \t\r");
-  return s.substr(begin, end - begin + 1);
-}
-
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
-// True for the translator's instance-variable spelling:
-// <name>_{v|s}<lane_group>_p<pack> (constants end in _sc/_vc and are
-// loop-invariant, so they carry no dependence).
-bool IsInstanceVariable(const std::string& ident) {
-  const auto p = ident.rfind("_p");
-  if (p == std::string::npos || p + 2 >= ident.size()) return false;
-  for (std::size_t i = p + 2; i < ident.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(ident[i]))) return false;
-  }
-  // Backwards from _p: digits, then 'v' or 's', then '_'.
-  std::size_t i = p;
-  if (i == 0) return false;
-  std::size_t digits = 0;
-  while (i > 0 && std::isdigit(static_cast<unsigned char>(ident[i - 1]))) {
-    --i;
-    ++digits;
-  }
-  if (digits == 0 || i < 2) return false;
-  const char kind = ident[i - 1];
-  return (kind == 'v' || kind == 's') && ident[i - 2] == '_';
-}
-
-// All identifiers in `text`, in order, with their start offsets.
-std::vector<std::pair<std::size_t, std::string>> Identifiers(
-    const std::string& text) {
-  std::vector<std::pair<std::size_t, std::string>> out;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    if (IsIdentChar(text[i]) &&
-        !std::isdigit(static_cast<unsigned char>(text[i]))) {
-      const std::size_t start = i;
-      while (i < text.size() && IsIdentChar(text[i])) ++i;
-      out.emplace_back(start, text.substr(start, i - start));
-    } else {
-      ++i;
-    }
-  }
-  return out;
-}
-
-GeneratedStatement ParseStatement(const std::string& line) {
-  GeneratedStatement st;
-  st.text = line;
-  // A register def is an instance variable at the very start of the
-  // statement followed by '=' (not '=='). Store statements
-  // ("*(out + ...) = x;", "_mm512_storeu_si512(out + ..., x);") start
-  // with '*' or an intrinsic name, so everything they mention is a use.
-  const auto eq = line.find('=');
-  bool defines = false;
-  if (eq != std::string::npos && eq + 1 < line.size() &&
-      line[eq + 1] != '=') {
-    const std::string lhs = Trim(line.substr(0, eq));
-    if (!lhs.empty() && IsInstanceVariable(lhs)) {
-      bool pure = true;
-      for (char c : lhs) {
-        if (!IsIdentChar(c)) pure = false;
-      }
-      if (pure) {
-        st.def = lhs;
-        defines = true;
-      }
-    }
-  }
-  const std::string rhs = defines ? line.substr(eq + 1) : line;
-  for (const auto& [offset, ident] : Identifiers(rhs)) {
-    (void)offset;
-    if (IsInstanceVariable(ident)) st.uses.push_back(ident);
-  }
-  return st;
-}
-
-}  // namespace
-
-Result<std::vector<GeneratedStatement>> ParseChunkLoop(
-    const std::string& generated_source) {
-  std::istringstream stream(generated_source);
-  std::string line;
-  bool in_chunk = false;
-  std::vector<GeneratedStatement> statements;
-  while (std::getline(stream, line)) {
-    if (!in_chunk) {
-      // The translator's chunk loop header:
-      //   for (; ofs + <chunk> <= n; ofs += <chunk>) {
-      if (line.find("for (; ofs + ") != std::string::npos &&
-          line.find("<= n; ofs += ") != std::string::npos) {
-        in_chunk = true;
-      }
-      continue;
-    }
-    const std::string body = Trim(line);
-    if (body == "}") break;  // end of the chunk loop
-    if (body.empty()) continue;
-    statements.push_back(ParseStatement(body));
-  }
-  if (!in_chunk) {
-    return Status::InvalidArgument(
-        "generated source has no chunk loop to analyze");
-  }
-  return statements;
-}
-
-Result<DependenceReport> CheckDependences(
-    const std::string& generated_source, const HybridConfig& config) {
-  if (!config.valid()) {
-    return Status::InvalidArgument("invalid hybrid config " +
-                                   config.ToString());
-  }
-  Result<std::vector<GeneratedStatement>> parsed =
-      ParseChunkLoop(generated_source);
-  HEF_RETURN_NOT_OK(parsed.status());
-  const std::vector<GeneratedStatement>& statements = parsed.value();
-
+DependenceReport CheckDependences(const OperatorTemplate& op,
+                                  const InstanceProgram& program,
+                                  const HybridConfig& config) {
   DependenceReport report;
-  report.statements = static_cast<int>(statements.size());
+  report.statements = static_cast<int>(program.chunk.size());
   report.pack_width = config.v + config.s;
   report.instances_per_line = config.p * (config.v + config.s);
 
-  // Reaching definitions: only the latest write to an instance variable
+  // An instance register: (template variable, vector, lane group, pack).
+  using Register = std::tuple<std::string, bool, int, int>;
+  auto reg = [](const std::string& var, const InstanceStatement& ist) {
+    return Register{var, ist.vector, ist.lane_group, ist.pack};
+  };
+
+  // Reaching definitions: only the latest write to an instance register
   // can feed a later read (each statement writes at most one register).
-  std::map<std::string, int> last_def;
+  std::map<Register, int> last_def;
   for (int i = 0; i < report.statements; ++i) {
-    const GeneratedStatement& st = statements[static_cast<std::size_t>(i)];
-    for (const std::string& use : st.uses) {
-      auto it = last_def.find(use);
+    const InstanceStatement& ist = program.chunk[static_cast<std::size_t>(i)];
+    const TemplateStatement& st =
+        op.body[static_cast<std::size_t>(ist.stmt_index)];
+    for (const std::string& arg : st.args) {
+      if (!op.IsVariable(arg)) continue;
+      auto it = last_def.find(reg(arg, ist));
       if (it == last_def.end()) continue;  // defined before the loop: none
       const int distance = i - it->second;
       if (!report.has_dependence || distance < report.min_distance) {
@@ -156,7 +42,7 @@ Result<DependenceReport> CheckDependences(
         report.violations.emplace_back(it->second, i);
       }
     }
-    if (!st.def.empty()) last_def[st.def] = i;
+    if (!st.dst.empty()) last_def[reg(st.dst, ist)] = i;
   }
 
   auto& registry = telemetry::MetricsRegistry::Get();
@@ -166,6 +52,16 @@ Result<DependenceReport> CheckDependences(
         .Increment(static_cast<std::uint64_t>(report.violations.size()));
   }
   return report;
+}
+
+Result<DependenceReport> CheckDependences(
+    const OperatorTemplate& op, const std::string& generated_source,
+    const DescriptionTable& table, const HybridConfig& config,
+    Isa vector_isa) {
+  Result<InstanceProgram> program = RecoverInstanceProgram(
+      op, generated_source, table, config, vector_isa);
+  HEF_RETURN_NOT_OK(program.status());
+  return CheckDependences(op, program.value(), config);
 }
 
 }  // namespace analysis

@@ -1,18 +1,20 @@
 // Dependence checker — statically proves the paper's pack claim (§IV-B)
 // on the translator's actual output instead of trusting the comment in
-// translator.h. It re-parses the emitted C++ string into generated
-// statements (defs and uses of the Fig. 6 instance variables
-// `name_{v|s}<lane_group>_p<pack>`), then checks that every
-// read-after-write pair inside the main chunk loop is at least a pack
-// width apart: with line-major expansion, all p*(v+s) instances of
-// template line k are emitted before any instance of line k+1, so the
-// processor always has a full pack of independent statements in flight
-// and the inter-instruction interval drops from latency to throughput.
+// translator.h. It reads the instance program the symbolic executor
+// recovers from the emitted C++ (statement i is program.chunk[i]; its def
+// is the destination instance variable, its uses are its variable
+// operands at that instance), then checks that every read-after-write
+// pair inside the main chunk loop is at least a pack width apart: with
+// line-major expansion, all p*(v+s) instances of template line k are
+// emitted before any instance of line k+1, so the processor always has a
+// full pack of independent statements in flight and the
+// inter-instruction interval drops from latency to throughput.
 //
 // Only the chunk loop is analyzed — the scalar tail processes one element
 // at a time and is sequential by design — and only register dependences
 // are tracked: in/out/aux never alias by the kernel contract
-// (hef_generated_kernel reads in, writes out, gathers through aux).
+// (hef_generated_kernel reads in, writes out, gathers through aux), and
+// constants and pointers are loop-invariant.
 
 #ifndef HEF_ANALYSIS_DEPENDENCE_CHECKER_H_
 #define HEF_ANALYSIS_DEPENDENCE_CHECKER_H_
@@ -21,18 +23,14 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/symbolic_executor.h"
+#include "codegen/description_table.h"
+#include "codegen/operator_template.h"
 #include "common/status.h"
 #include "hybrid/hybrid_config.h"
 
 namespace hef {
 namespace analysis {
-
-// One emitted statement of the chunk loop, reduced to its dataflow.
-struct GeneratedStatement {
-  std::string text;               // the emitted line, trimmed
-  std::string def;                // instance variable written ("" if none)
-  std::vector<std::string> uses;  // instance variables read
-};
 
 struct DependenceReport {
   int statements = 0;         // statements in the unrolled chunk body
@@ -52,15 +50,19 @@ struct DependenceReport {
   }
 };
 
-// Extracts the chunk-loop statements from a TranslateOperator() result.
-// Fails if the source has no recognizable chunk loop.
-Result<std::vector<GeneratedStatement>> ParseChunkLoop(
-    const std::string& generated_source);
+// Checks the pack claim on `program`, recovered from the kernel emitted
+// for `op` at `config`.
+DependenceReport CheckDependences(const OperatorTemplate& op,
+                                  const InstanceProgram& program,
+                                  const HybridConfig& config);
 
-// Parses and checks `generated_source` (the string TranslateOperator
-// emitted for `config`).
+// Recovers the instance program of `generated_source` (the string
+// TranslateOperator emitted for `op` at `config`) and checks it. Fails
+// when the source is not an instantiation of `op`.
 Result<DependenceReport> CheckDependences(
-    const std::string& generated_source, const HybridConfig& config);
+    const OperatorTemplate& op, const std::string& generated_source,
+    const DescriptionTable& table, const HybridConfig& config,
+    Isa vector_isa);
 
 }  // namespace analysis
 }  // namespace hef

@@ -3,8 +3,8 @@
 // (Algorithm 1) expands it. Every rule has a stable ID (HID001…,
 // catalogued in docs/analysis.md) so diagnostics are machine-checkable:
 // `hef lint` emits them as JSON, golden tests pin each rule to a minimal
-// bad template, and the translator refuses templates with errors when
-// TranslateOptions::verify is on.
+// bad template, and ProveKernel and `hef generate` refuse templates with
+// errors before the translator expands them.
 //
 // The verifier deliberately re-checks properties the strict template
 // parser also enforces (def-before-use, stream discipline, gather

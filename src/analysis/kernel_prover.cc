@@ -12,53 +12,70 @@ namespace analysis {
 KernelProof ProveKernel(const OperatorTemplate& op,
                         const DescriptionTable& table,
                         const ProveOptions& options) {
-  KernelProof proof;
-  auto& registry = telemetry::MetricsRegistry::Get();
-  auto finish = [&registry, &proof]() -> KernelProof& {
-    registry
-        .counter(proof.proven() ? "analysis.kernels_proven"
-                                : "analysis.kernels_refuted")
-        .Increment();
-    return proof;
-  };
-
   // Tier 1 + 2: structural rules, then the range interpreter (HID017 on:
   // the prove tier has no notion of an unprovable-but-fine gather).
   VerifyOptions vopts;
   vopts.vector_isa = options.vector_isa;
   vopts.check_host_isa = options.check_host_isa;
   vopts.require_bounded_gathers = true;
-  proof.diagnostics = VerifyTemplate(op, table, vopts);
-  if (HasErrors(proof.diagnostics)) return finish();
+  std::vector<Diagnostic> verified = VerifyTemplate(op, table, vopts);
 
-  // Tier 3: translate for real (structural verification already ran, so
-  // skip the translator's own copy) and prove the emitted source.
-  TranslateOptions topts;
-  topts.config = options.config;
-  topts.vector_isa = options.vector_isa;
-  topts.verify = false;
-  Result<std::string> translated = TranslateOperator(op, table, topts);
-  if (!translated.ok()) {
-    proof.translate_error = translated.status().message();
-    proof.diagnostics.push_back(
-        Diagnostic{"HID018", Severity::kError, 0,
-                   "translation failed: " + proof.translate_error});
-    return finish();
+  // Tier 3: translate for real and prove the emitted source.
+  KernelProof proof;
+  if (!HasErrors(verified)) {
+    TranslateOptions topts;
+    topts.config = options.config;
+    topts.vector_isa = options.vector_isa;
+    Result<std::string> translated = TranslateOperator(op, table, topts);
+    if (translated.ok()) {
+      proof = ProveSource(op, translated.value(), table, options);
+    } else {
+      proof.translate_error = translated.status().message();
+      proof.diagnostics.push_back(
+          Diagnostic{"HID018", Severity::kError, 0,
+                     "translation failed: " + proof.translate_error});
+    }
   }
-  proof.translated = translated.value();
+  proof.diagnostics.insert(proof.diagnostics.begin(), verified.begin(),
+                           verified.end());
+  telemetry::MetricsRegistry::Get()
+      .counter(proof.proven() ? "analysis.kernels_proven"
+                              : "analysis.kernels_refuted")
+      .Increment();
+  return proof;
+}
 
-  Result<EquivalenceReport> eq = ProveEquivalence(
-      op, proof.translated, table, options.config, options.vector_isa);
-  if (!eq.ok()) {
+KernelProof ProveSource(const OperatorTemplate& op, const std::string& source,
+                        const DescriptionTable& table,
+                        const ProveOptions& options) {
+  KernelProof proof;
+  proof.translated = source;
+  const std::string at = "kernel at " + options.config.ToString();
+  auto refute = [&proof](const std::string& message) {
     proof.diagnostics.push_back(
-        Diagnostic{"HID018", Severity::kError, 0,
-                   "equivalence check failed: " + eq.status().message()});
-    return finish();
+        Diagnostic{"HID018", Severity::kError, 0, message});
+  };
+
+  Result<InstanceProgram> program = RecoverInstanceProgram(
+      op, source, table, options.config, options.vector_isa);
+  if (!program.ok()) {
+    proof.equivalence.detail = program.status().message();
+    refute(at + " is not an instantiation of its template: " +
+           proof.equivalence.detail);
+    return proof;
   }
-  proof.equivalence = eq.value();
+
+  proof.pack_claim = CheckDependences(op, program.value(), options.config);
+  if (!proof.pack_claim.ProvesPackClaim()) {
+    refute(at + " breaks the pack claim: min dependence distance " +
+           std::to_string(proof.pack_claim.min_distance) +
+           " < pack width " + std::to_string(proof.pack_claim.pack_width));
+  }
+
+  proof.equivalence = ProveEquivalence(op, op, program.value(),
+                                       options.config, options.vector_isa);
   if (!proof.equivalence.proven) {
-    std::string msg = "kernel at " + options.config.ToString() +
-                      " is not equivalent to its template";
+    std::string msg = at + " is not equivalent to its template";
     if (proof.equivalence.mismatch_offset >= 0) {
       msg += " (first mismatch at chunk element " +
              std::to_string(proof.equivalence.mismatch_offset) + ")";
@@ -66,10 +83,9 @@ KernelProof ProveKernel(const OperatorTemplate& op,
     if (!proof.equivalence.detail.empty()) {
       msg += ": " + proof.equivalence.detail;
     }
-    proof.diagnostics.push_back(
-        Diagnostic{"HID018", Severity::kError, 0, msg});
+    refute(msg);
   }
-  return finish();
+  return proof;
 }
 
 std::function<Status(const HybridConfig&)> MakeSemanticCheck(

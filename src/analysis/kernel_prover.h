@@ -7,13 +7,16 @@
 //   ranges       HID013–HID017  (value_range abstract interpreter, with
 //                               require_bounded_gathers on: the prove
 //                               tier insists every gather is provable)
-//   semantic     HID018         (symbolic executor: the emitted kernel's
-//                               per-element expressions must normalize to
-//                               the scalar template's)
+//   semantic     HID018         (the emitted kernel's instance program,
+//                               recovered once: dependent statements at
+//                               least a pack apart (dependence_checker),
+//                               and per-element expressions normalizing
+//                               to the scalar template's (symbolic
+//                               executor))
 //
-// The result is a KernelProof carrying every diagnostic plus the
-// equivalence report; proven() is the single bit downstream admission
-// gates on. MakeSemanticCheck() adapts the prover to the tuner's
+// The result is a KernelProof carrying every diagnostic plus the pack
+// claim and equivalence reports; proven() is the single bit downstream
+// admission gates on. MakeSemanticCheck() adapts the prover to the tuner's
 // static-check slot so equivalence-failing candidates are rejected
 // before they are ever benchmarked.
 
@@ -24,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/dependence_checker.h"
 #include "analysis/hid_verifier.h"
 #include "analysis/symbolic_executor.h"
 #include "codegen/description_table.h"
@@ -47,17 +51,20 @@ struct KernelProof {
   std::vector<Diagnostic> diagnostics;
   // The emitted kernel source (empty when translation failed).
   std::string translated;
-  // Non-empty when TranslateOperator itself failed (bad config,
-  // dependence-distance violation, ...). Recorded verbatim; also mirrored
-  // into `diagnostics` as an HID018 error so JSON consumers see one list.
+  // Non-empty when TranslateOperator itself failed (bad config, op
+  // without a lowering). Recorded verbatim; also mirrored into
+  // `diagnostics` as an HID018 error so JSON consumers see one list.
   std::string translate_error;
+  // The §IV-B pack claim on the recovered chunk loop (statements == 0
+  // when no instance program was recovered).
+  DependenceReport pack_claim;
   // The symbolic equivalence verdict (default-initialized, proven=false,
   // when earlier tiers already failed).
   EquivalenceReport equivalence;
 
   bool proven() const {
-    return translate_error.empty() && equivalence.proven &&
-           !HasErrors(diagnostics);
+    return translate_error.empty() && pack_claim.ProvesPackClaim() &&
+           equivalence.proven && !HasErrors(diagnostics);
   }
 };
 
@@ -65,6 +72,14 @@ struct KernelProof {
 // refutation recorded in the proof (callers decide whether an unproven
 // kernel is fatal). Metrics: analysis.kernels_proven / _refuted.
 KernelProof ProveKernel(const OperatorTemplate& op,
+                        const DescriptionTable& table,
+                        const ProveOptions& options);
+
+// The source-level gate ProveKernel applies after translating: recovers
+// the instance program of `source` (a kernel emitted for `op` at
+// options.config) once, then checks the pack claim and equivalence on
+// it. Each refutation is an HID018 error in the returned proof.
+KernelProof ProveSource(const OperatorTemplate& op, const std::string& source,
                         const DescriptionTable& table,
                         const ProveOptions& options);
 

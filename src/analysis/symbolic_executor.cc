@@ -445,10 +445,11 @@ Result<const Expr*> EvalScalarReference(const OperatorTemplate& op,
   return stored;
 }
 
-Result<EquivalenceReport> ProveEquivalence(
-    const OperatorTemplate& reference, const OperatorTemplate& translated,
-    const std::string& generated_source, const DescriptionTable& table,
-    const HybridConfig& config, Isa vector_isa) {
+EquivalenceReport ProveEquivalence(const OperatorTemplate& reference,
+                                   const OperatorTemplate& translated,
+                                   const InstanceProgram& program,
+                                   const HybridConfig& config,
+                                   Isa vector_isa) {
   auto& registry = telemetry::MetricsRegistry::Get();
   registry.counter("analysis.equivalence_checks").Increment();
 
@@ -459,15 +460,11 @@ Result<EquivalenceReport> ProveEquivalence(
     registry.counter("analysis.equivalence_refuted").Increment();
     return report;
   };
-
-  Result<InstanceProgram> program = RecoverInstanceProgram(
-      translated, generated_source, table, config, vector_isa);
-  if (!program.ok()) return refute(program.status().message());
-  report.statements = static_cast<int>(program.value().chunk.size());
+  report.statements = static_cast<int>(program.chunk.size());
 
   ExprArena arena;
   SymbolicMachine machine(translated, config, vector_isa, arena);
-  Status run = machine.Run(program.value().chunk);
+  Status run = machine.Run(program.chunk);
   if (!run.ok()) return refute(run.message());
 
   const std::vector<const Expr*>& out = machine.chunk_out();
@@ -491,7 +488,7 @@ Result<EquivalenceReport> ProveEquivalence(
 
   // Tail slice: one element, in[ofs] modeled as Input(0).
   SymbolicMachine tail_machine(translated, config, vector_isa, arena);
-  run = tail_machine.Run(program.value().tail);
+  run = tail_machine.Run(program.tail);
   if (!run.ok()) return refute(run.message());
   if (tail_machine.tail_out() == nullptr) {
     return refute("scalar tail never stores OUT");
@@ -508,6 +505,24 @@ Result<EquivalenceReport> ProveEquivalence(
   report.proven = true;
   registry.counter("analysis.equivalence_proven").Increment();
   return report;
+}
+
+Result<EquivalenceReport> ProveEquivalence(
+    const OperatorTemplate& reference, const OperatorTemplate& translated,
+    const std::string& generated_source, const DescriptionTable& table,
+    const HybridConfig& config, Isa vector_isa) {
+  Result<InstanceProgram> program = RecoverInstanceProgram(
+      translated, generated_source, table, config, vector_isa);
+  if (!program.ok()) {
+    auto& registry = telemetry::MetricsRegistry::Get();
+    registry.counter("analysis.equivalence_checks").Increment();
+    registry.counter("analysis.equivalence_refuted").Increment();
+    EquivalenceReport report;
+    report.detail = program.status().message();
+    return report;
+  }
+  return ProveEquivalence(reference, translated, program.value(), config,
+                          vector_isa);
 }
 
 Result<EquivalenceReport> ProveEquivalence(

@@ -80,13 +80,21 @@ struct EquivalenceReport {
   std::string detail;        // refutation explanation ("" when proven)
 };
 
-// Proves `generated_source` (the translator's output for `translated` at
-// `config`) equivalent to the scalar semantics of `reference`,
-// lane-by-lane over one chunk slice plus the tail. Callers validating
-// the translator pass the same template twice; mutation tests pass the
-// original as `reference` and the mutant as `translated`. A Status error
-// means the source was not analyzable at all (no chunk loop); a clean
-// report with proven=false is a refutation.
+// Proves `program` (recovered from the translator's output for
+// `translated` at `config`) equivalent to the scalar semantics of
+// `reference`, lane-by-lane over one chunk slice plus the tail. Callers
+// validating the translator pass the same template twice; mutation tests
+// pass the original as `reference` and the mutant as `translated`.
+EquivalenceReport ProveEquivalence(const OperatorTemplate& reference,
+                                   const OperatorTemplate& translated,
+                                   const InstanceProgram& program,
+                                   const HybridConfig& config,
+                                   Isa vector_isa);
+
+// Recovers the instance program of `generated_source` and proves it. A
+// source that is not an instantiation of `translated` (no chunk loop, a
+// foreign line) is refuted: proven=false with the recovery error as
+// detail.
 Result<EquivalenceReport> ProveEquivalence(
     const OperatorTemplate& reference, const OperatorTemplate& translated,
     const std::string& generated_source, const DescriptionTable& table,

@@ -8,7 +8,6 @@
 #include <fstream>
 
 #include "codegen/translator.h"
-#include "common/macros.h"
 
 namespace hef {
 
@@ -60,17 +59,6 @@ Result<CompiledKernel> OfflineDriver::Compile(const std::string& source,
     return Status::IoError("generated kernel entry point missing in " + so);
   }
   return CompiledKernel(handle, fn);
-}
-
-Result<CompiledKernel> OfflineDriver::CompileOperator(
-    const OperatorTemplate& op, const DescriptionTable& table,
-    const TranslateOptions& options, const std::string& tag) {
-  TranslateOptions verified = options;
-  verified.verify = true;  // unverified kernels never reach the compiler
-  verified.prove = true;   // nor do semantically unproven ones (HID018)
-  Result<std::string> source = TranslateOperator(op, table, verified);
-  HEF_RETURN_NOT_OK(source.status());
-  return Compile(source.value(), tag);
 }
 
 }  // namespace hef

@@ -11,7 +11,6 @@
 #include <memory>
 #include <string>
 
-#include "codegen/translator.h"
 #include "common/status.h"
 
 namespace hef {
@@ -55,15 +54,6 @@ class OfflineDriver {
   // entry point. Returns IoError with the compiler output path on failure.
   Result<CompiledKernel> Compile(const std::string& source,
                                  const std::string& tag);
-
-  // Translates `op` and compiles the result. Verification is forced on —
-  // the driver refuses to emit a kernel that has not passed the HID
-  // verifier and the dependence checker, regardless of what the caller
-  // set in `options.verify`.
-  Result<CompiledKernel> CompileOperator(const OperatorTemplate& op,
-                                         const DescriptionTable& table,
-                                         const TranslateOptions& options,
-                                         const std::string& tag);
 
   const std::string& work_dir() const { return work_dir_; }
 

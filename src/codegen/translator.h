@@ -24,21 +24,6 @@ struct TranslateOptions {
   // ISA of the vector statements; scalar statements always use the scalar
   // column of the description table.
   Isa vector_isa = Isa::kAvx512;
-  // Run the HID verifier over the template before expansion and the
-  // dependence checker over the emitted source after (src/analysis).
-  // Verification failures return InvalidArgument; a dependence-distance
-  // violation in the output returns Internal (it would mean Algorithm 1's
-  // line-major expansion is broken). Callers re-translating an
-  // already-verified template in a hot loop may turn this off.
-  bool verify = true;
-  // Prove tier: after the dependence check, symbolically execute the
-  // emitted chunk loop + tail and prove every element's stored expression
-  // equal to the scalar template semantics (src/analysis symbolic
-  // executor). A refutation returns Internal carrying the HID018 detail —
-  // the translator must never ship a kernel it cannot prove. Implies the
-  // cost of one symbolic run per translation; off by default, forced on
-  // by the offline driver and `hef lint --prove`.
-  bool prove = false;
 };
 
 // Every generated kernel exports this fixed entry point so the offline
@@ -50,7 +35,9 @@ inline constexpr char kGeneratedEntryPoint[] = "hef_generated_kernel";
 
 // Translates the template to a complete, self-contained C++ source string.
 // Fails if an op is missing from the description table or the config is
-// invalid.
+// invalid. The template is not verified here and the output is not
+// checked: analysis::ProveKernel (src/analysis) is the gate that runs the
+// HID verifier, the pack-claim check and the equivalence proof.
 Result<std::string> TranslateOperator(const OperatorTemplate& op,
                                       const DescriptionTable& table,
                                       const TranslateOptions& options);

@@ -36,32 +36,25 @@ ChunkedFact ChunkedFact::Build(const LineorderFact& lineorder,
   fact.rows_ = lineorder.n;
   fact.options_ = options;
 
-  std::vector<std::uint64_t> perm;
-  if (options.cluster_by_orderdate && lineorder.n > 0) {
-    perm.resize(lineorder.n);
-    std::iota(perm.begin(), perm.end(), 0);
-    const std::uint64_t* dates = lineorder.orderdate.data();
-    std::stable_sort(perm.begin(), perm.end(),
-                     [dates](std::uint64_t a, std::uint64_t b) {
-                       return dates[a] < dates[b];
-                     });
-  }
+  // Cluster by orderdate (see the file comment in chunked_fact.h).
+  std::vector<std::uint64_t> perm(lineorder.n);
+  std::iota(perm.begin(), perm.end(), 0);
+  const std::uint64_t* dates = lineorder.orderdate.data();
+  std::stable_sort(perm.begin(), perm.end(),
+                   [dates](std::uint64_t a, std::uint64_t b) {
+                     return dates[a] < dates[b];
+                   });
 
-  AlignedBuffer<std::uint64_t> reordered;
+  AlignedBuffer<std::uint64_t> reordered(lineorder.n);
   fact.columns_.reserve(std::size(kFactColumns));
   for (const FactColumn& fc : kFactColumns) {
     const Column& flat = lineorder.*fc.member;
-    const std::uint64_t* values = flat.data();
-    if (!perm.empty()) {
-      reordered.Allocate(lineorder.n);
-      for (std::size_t i = 0; i < lineorder.n; ++i) {
-        reordered[i] = flat[perm[i]];
-      }
-      values = reordered.data();
+    for (std::size_t i = 0; i < lineorder.n; ++i) {
+      reordered[i] = flat[perm[i]];
     }
     fact.columns_.push_back(
         {fc.name, &flat,
-         storage::ChunkedColumn::Encode(values, lineorder.n,
+         storage::ChunkedColumn::Encode(reordered.data(), lineorder.n,
                                         options.chunk_rows, options.policy)});
   }
   return fact;

@@ -31,8 +31,6 @@ namespace hef::ssb {
 struct ChunkedFactOptions {
   std::size_t chunk_rows = storage::kDefaultChunkRows;
   storage::EncodingPolicy policy = storage::EncodingPolicy::kAuto;
-  // Cluster the chunked representation by orderdate (see file comment).
-  bool cluster_by_orderdate = true;
 };
 
 class ChunkedFact {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -14,7 +15,9 @@
 #include "algo/murmur.h"
 #include "analysis/dependence_checker.h"
 #include "analysis/hid_verifier.h"
+#include "analysis/kernel_prover.h"
 #include "analysis/register_pressure.h"
+#include "analysis/symbolic_executor.h"
 #include "codegen/description_table.h"
 #include "codegen/operator_template.h"
 #include "codegen/translator.h"
@@ -476,9 +479,12 @@ TEST(HidVerifierTest, BuiltinTemplatesLintClean) {
   }
 }
 
-// --- translator integration (TranslateOptions::verify) ----------------
+// --- the verifier gates templates before expansion ---------------------
 
-TEST(TranslatorVerifyTest, RejectsIllegalTemplateBeforeExpansion) {
+TEST(HidVerifierTest, Hid007RejectsTemplateBeforeExpansion) {
+  // The gate `hef generate` applies to a template from outside the
+  // program: the verifier's status names the rule before any line is
+  // generated.
   const auto op = OperatorTemplate::ParseSyntaxOnly(
       "operator t\n"
       "var a\n"
@@ -487,32 +493,12 @@ TEST(TranslatorVerifyTest, RejectsIllegalTemplateBeforeExpansion) {
       "a = hi_rotl_epi64(a, a)\n"
       "hi_store_epi64(OUT, a)\n");
   ASSERT_TRUE(op.ok());
-  TranslateOptions options;
-  options.config = HybridConfig{1, 1, 1};
-  const auto source = TranslateOperator(
-      op.value(), DescriptionTable::Builtin(), options);
-  ASSERT_FALSE(source.ok());
-  EXPECT_NE(source.status().message().find("HID007"), std::string::npos);
-}
-
-TEST(TranslatorVerifyTest, VerifyOffPreservesLegacyErrorPath) {
-  const auto op = OperatorTemplate::ParseSyntaxOnly(
-      "operator t\n"
-      "var a\n"
-      "body:\n"
-      "a = hi_load_epi64(IN)\n"
-      "a = hi_rotl_epi64(a, a)\n"
-      "hi_store_epi64(OUT, a)\n");
-  ASSERT_TRUE(op.ok());
-  TranslateOptions options;
-  options.config = HybridConfig{1, 1, 1};
-  options.verify = false;
-  const auto source = TranslateOperator(
-      op.value(), DescriptionTable::Builtin(), options);
-  // Still fails (the op has no lowering), but with the translator's own
-  // lookup error, not a verifier diagnostic.
-  ASSERT_FALSE(source.ok());
-  EXPECT_EQ(source.status().message().find("HID007"), std::string::npos);
+  const Status gate = analysis::DiagnosticsToStatus(
+      op.value().name,
+      analysis::VerifyTemplate(op.value(), DescriptionTable::Builtin(),
+                               analysis::VerifyOptions{}));
+  ASSERT_FALSE(gate.ok());
+  EXPECT_NE(gate.message().find("HID007"), std::string::npos);
 }
 
 // --- dependence checker on real translator output ---------------------
@@ -526,7 +512,9 @@ analysis::DependenceReport CheckTemplate(const std::string& text,
   const auto source = TranslateOperator(
       op.value(), DescriptionTable::Builtin(), options);
   EXPECT_TRUE(source.ok()) << source.status().ToString();
-  const auto report = analysis::CheckDependences(source.value(), cfg);
+  const auto report = analysis::CheckDependences(
+      op.value(), source.value(), DescriptionTable::Builtin(), cfg,
+      options.vector_isa);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
   return report.value();
 }
@@ -595,31 +583,78 @@ TEST(DependenceCheckerTest, AllSsbQueryKernelsProvenIndependent) {
   EXPECT_EQ(i, 13);
 }
 
+// Reorders the chunk loop of a v0 s2 p1 kernel to instance-major order:
+// every statement of lane group s0 first, then every statement of s1.
+// Each instance still computes the same values, but dependent statements
+// become adjacent.
+std::string InstanceMajor(const std::string& source) {
+  std::istringstream in(source);
+  std::string out, line, s1_lines;
+  bool in_chunk = false;
+  while (std::getline(in, line)) {
+    if (line.find("for (; ofs + ") != std::string::npos) {
+      in_chunk = true;
+    } else if (in_chunk && line == "  }") {
+      out += s1_lines;
+      in_chunk = false;
+    } else if (in_chunk && line.find("_s1_p0") != std::string::npos) {
+      s1_lines += line + "\n";
+      continue;
+    }
+    out += line + "\n";
+  }
+  return out;
+}
+
 TEST(DependenceCheckerTest, FlagsArtificiallyDependentLoop) {
-  // A hand-built chunk loop whose adjacent statements form a RAW chain:
-  // with pack width 2 the claim must fail.
-  const std::string source =
-      "void f(const unsigned long long* in, unsigned long long* out,\n"
-      "       unsigned long long n) {\n"
-      "unsigned long long ofs = 0;\n"
-      "for (; ofs + 2 <= n; ofs += 2) {\n"
-      "x_s0_p0 = in[ofs];\n"
-      "y_s0_p0 = x_s0_p0 * 3;\n"
-      "x_s1_p0 = in[ofs + 1];\n"
-      "y_s1_p0 = x_s1_p0 * 3;\n"
-      "}\n"
-      "}\n";
-  const auto report =
-      analysis::CheckDependences(source, HybridConfig{0, 2, 1});
+  // Real translator output for murmur, reordered so adjacent statements
+  // form a RAW chain: the per-element values are unchanged, so
+  // equivalence alone proves it, but with pack width 2 the pack claim
+  // fails — and the source-level gate ProveKernel uses must refute it.
+  const DescriptionTable& table = DescriptionTable::Builtin();
+  const OperatorTemplate op =
+      OperatorTemplate::Parse(BuiltinMurmurTemplate()).value();
+  TranslateOptions options;
+  options.config = HybridConfig{0, 2, 1};
+  const auto translated = TranslateOperator(op, table, options);
+  ASSERT_TRUE(translated.ok()) << translated.status().ToString();
+  const std::string reordered = InstanceMajor(translated.value());
+  ASSERT_NE(reordered, translated.value());
+
+  const auto equivalence = analysis::ProveEquivalence(
+      op, reordered, table, options.config, options.vector_isa);
+  ASSERT_TRUE(equivalence.ok());
+  EXPECT_TRUE(equivalence.value().proven) << equivalence.value().detail;
+
+  const auto report = analysis::CheckDependences(
+      op, reordered, table, options.config, options.vector_isa);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report.value().has_dependence);
   EXPECT_EQ(report.value().min_distance, 1);
   EXPECT_FALSE(report.value().ProvesPackClaim());
   EXPECT_FALSE(report.value().violations.empty());
+
+  analysis::ProveOptions popts;
+  popts.config = options.config;
+  const analysis::KernelProof proof =
+      analysis::ProveSource(op, reordered, table, popts);
+  EXPECT_FALSE(proof.proven());
+  EXPECT_TRUE(proof.equivalence.proven);
+  EXPECT_TRUE(HasRule(proof.diagnostics, "HID018"));
+  // The unmodified output passes the same gate.
+  EXPECT_TRUE(
+      analysis::ProveSource(op, translated.value(), table, popts).proven());
 }
 
 TEST(DependenceCheckerTest, RejectsSourceWithoutChunkLoop) {
-  EXPECT_FALSE(analysis::ParseChunkLoop("int main() { return 0; }").ok());
+  const OperatorTemplate op =
+      OperatorTemplate::Parse(BuiltinMurmurTemplate()).value();
+  const auto program = analysis::RecoverInstanceProgram(
+      op, "int main() { return 0; }", DescriptionTable::Builtin(),
+      HybridConfig{0, 2, 1}, Isa::kAvx512);
+  ASSERT_FALSE(program.ok());
+  EXPECT_NE(program.status().message().find("no chunk loop"),
+            std::string::npos);
 }
 
 // --- register pressure -------------------------------------------------

@@ -13,6 +13,7 @@
 
 #include "analysis/dependence_checker.h"
 #include "analysis/hid_verifier.h"
+#include "analysis/kernel_prover.h"
 #include "codegen/description_table.h"
 #include "codegen/offline_driver.h"
 #include "codegen/operator_template.h"
@@ -199,12 +200,11 @@ TEST(CodegenFuzzTest, VerifiedTemplatesTranslateToProvenLoops) {
         analysis::LintTemplateText(text, table, vopts, &op);
     if (analysis::HasErrors(diags)) {
       ++rejected;
-      // The translator must refuse what the verifier refused.
+      // ProveKernel must refuse what the verifier refused.
       if (OperatorTemplate::ParseSyntaxOnly(text).ok()) {
-        TranslateOptions options;
-        options.config = configs[round % configs.size()];
-        EXPECT_FALSE(
-            TranslateOperator(op, table, options).ok());
+        analysis::ProveOptions popts;
+        popts.config = configs[round % configs.size()];
+        EXPECT_FALSE(analysis::ProveKernel(op, table, popts).proven());
       }
       continue;
     }
@@ -216,7 +216,8 @@ TEST(CodegenFuzzTest, VerifiedTemplatesTranslateToProvenLoops) {
     options.config = cfg;
     const auto source = TranslateOperator(op, table, options);
     ASSERT_TRUE(source.ok()) << source.status().ToString();
-    const auto report = analysis::CheckDependences(source.value(), cfg);
+    const auto report = analysis::CheckDependences(
+        op, source.value(), table, cfg, options.vector_isa);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_TRUE(report.value().ProvesPackClaim()) << cfg.ToString();
     EXPECT_EQ(report.value().instances_per_line,

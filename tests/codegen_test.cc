@@ -166,6 +166,27 @@ TEST(TranslatorTest, RejectsInvalidConfig) {
       TranslateOperator(t, DescriptionTable::Builtin(), options).ok());
 }
 
+TEST(TranslatorTest, UnknownOpFailsTableLookup) {
+  // The translator does not verify: an op without a lowering fails its
+  // description-table lookup, not a verifier rule.
+  const auto op = OperatorTemplate::ParseSyntaxOnly(
+      "operator t\n"
+      "var a\n"
+      "body:\n"
+      "a = hi_load_epi64(IN)\n"
+      "a = hi_rotl_epi64(a, a)\n"
+      "hi_store_epi64(OUT, a)\n");
+  ASSERT_TRUE(op.ok());
+  TranslateOptions options;
+  options.config = HybridConfig{1, 1, 1};
+  const auto source = TranslateOperator(
+      op.value(), DescriptionTable::Builtin(), options);
+  ASSERT_FALSE(source.ok());
+  EXPECT_NE(source.status().message().find("no description table entry"),
+            std::string::npos);
+  EXPECT_EQ(source.status().message().find("HID007"), std::string::npos);
+}
+
 class OfflineDriverTest : public ::testing::Test {
  protected:
   // Generates, compiles, loads and runs one configuration of `tmpl`,

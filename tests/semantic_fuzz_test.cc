@@ -117,13 +117,12 @@ TEST(SemanticFuzz, SymbolicVerdictMatchesConcreteExecutionBothWays) {
                            1 + static_cast<int>(rng.Uniform(0, 2))};
     if (!cfg.valid()) continue;
 
-    TranslateOptions topts;
-    topts.config = cfg;
     // The fuzz pool freely emits unbounded variable shifts, which the
     // range tier rightly rejects (HID016); this test targets the
     // *equivalence* tier, whose op semantics (shifts >= 64 yield 0) both
-    // executors share, so translate without the verifier.
-    topts.verify = false;
+    // executors share, so it translates and proves without ProveKernel.
+    TranslateOptions topts;
+    topts.config = cfg;
     Result<std::string> src =
         TranslateOperator(candidate.value(), table, topts);
     ASSERT_TRUE(src.ok()) << src.status().message() << "\n"

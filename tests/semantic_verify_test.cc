@@ -428,16 +428,5 @@ TEST(TunerSemanticAdmission, RealProverAdmitsTheMurmurGrid) {
   EXPECT_TRUE(check(HybridConfig{1, 3, 2}).ok());
 }
 
-TEST(TranslatorProveTier, ProveOptionAcceptsCleanTemplates) {
-  const OperatorTemplate op =
-      OperatorTemplate::Parse(BuiltinMurmurTemplate()).value();
-  TranslateOptions topts;
-  topts.config = HybridConfig{1, 2, 2};
-  topts.prove = true;
-  Result<std::string> src =
-      TranslateOperator(op, DescriptionTable::Builtin(), topts);
-  EXPECT_TRUE(src.ok()) << src.status().message();
-}
-
 }  // namespace
 }  // namespace hef

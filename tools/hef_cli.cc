@@ -459,6 +459,31 @@ int CmdSql(int argc, char** argv) {
   return 0;
 }
 
+// The gate a template from outside the program passes before its kernel
+// is printed: the HID verifier before expansion, the pack claim (§IV-B)
+// on the emitted source after.
+Result<std::string> TranslateVerified(const OperatorTemplate& op,
+                                      const TranslateOptions& options) {
+  const DescriptionTable& table = DescriptionTable::Builtin();
+  analysis::VerifyOptions vopts;
+  vopts.vector_isa = options.vector_isa;
+  HEF_RETURN_NOT_OK(analysis::DiagnosticsToStatus(
+      op.name, analysis::VerifyTemplate(op, table, vopts)));
+  Result<std::string> source = TranslateOperator(op, table, options);
+  HEF_RETURN_NOT_OK(source.status());
+  const Result<analysis::DependenceReport> deps = analysis::CheckDependences(
+      op, source.value(), table, options.config, options.vector_isa);
+  HEF_RETURN_NOT_OK(deps.status());
+  if (!deps.value().ProvesPackClaim()) {
+    return Status::Internal(
+        "translator emitted dependent adjacent statements for '" + op.name +
+        "' at " + options.config.ToString() + ": min distance " +
+        std::to_string(deps.value().min_distance) + " < pack width " +
+        std::to_string(deps.value().pack_width));
+  }
+  return source;
+}
+
 int CmdGenerate(int argc, char** argv) {
   FlagParser flags;
   flags.AddString("operator", "murmur", "murmur | crc64");
@@ -488,8 +513,7 @@ int CmdGenerate(int argc, char** argv) {
   options.config = cfg.value();
   options.vector_isa =
       flags.GetString("isa") == "avx2" ? Isa::kAvx2 : Isa::kAvx512;
-  const auto source = TranslateOperator(
-      op.value(), DescriptionTable::Builtin(), options);
+  const auto source = TranslateVerified(op.value(), options);
   if (!source.ok()) {
     std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
     return 1;
@@ -678,6 +702,13 @@ int CmdLint(int argc, char** argv) {
         w.BeginObject();
         w.Key("config").String(cfg.ToString());
         w.Key("proven").Bool(proof.proven());
+        if (proof.pack_claim.statements > 0) {
+          w.Key("pack_claim").BeginObject();
+          w.Key("min_distance").Int(proof.pack_claim.min_distance);
+          w.Key("pack_width").Int(proof.pack_claim.pack_width);
+          w.Key("proven").Bool(proof.pack_claim.ProvesPackClaim());
+          w.EndObject();
+        }
         if (proof.proven()) {
           ++proven;
         } else {
@@ -718,8 +749,8 @@ int CmdLint(int argc, char** argv) {
         ++errors_total;
         w.Key("translate_error").String(source.status().ToString());
       } else {
-        const auto report =
-            analysis::CheckDependences(source.value(), config);
+        const auto report = analysis::CheckDependences(
+            op, source.value(), table, config, verify.vector_isa);
         if (!report.ok()) {
           std::printf("%s: error [deps] %s\n", name.c_str(),
                       report.status().ToString().c_str());
