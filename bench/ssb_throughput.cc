@@ -238,17 +238,16 @@ int Main(int argc, char** argv) {
   const std::string encoding = flags.GetString("encoding");
   const bool pruning = flags.GetBool("pruning");
   const bool drop_flat = flags.GetBool("drop_flat");
-  if ((pruning || drop_flat) && encoding == "flat") {
-    std::fprintf(stderr,
-                 "--pruning / --drop_flat require a chunked --encoding\n");
-    return 1;
-  }
   const auto storage = ResolveStorageFlags(encoding, pruning);
   if (!storage.ok()) {
     std::fprintf(stderr, "%s\n", storage.status().message().c_str());
     return 1;
   }
   const bool chunked = storage.value().chunked;
+  if (drop_flat && !chunked) {
+    std::fprintf(stderr, "--drop_flat requires a chunked --encoding\n");
+    return 1;
+  }
   if (chunked && flags.GetString("flavor") == "voila") {
     std::fprintf(stderr, "--encoding: the voila flavor scans flat only\n");
     return 1;

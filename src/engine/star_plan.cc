@@ -11,6 +11,8 @@ namespace hef {
 namespace {
 
 using ssb::SsbDatabase;
+using RowPred = std::function<bool(std::size_t)>;
+using RowValue = std::function<std::uint64_t(std::size_t)>;
 
 // The parallel runner of the BuildQueryPlan call currently executing on
 // this thread (null -> serial builds). Thread-local so the recursive
@@ -18,68 +20,83 @@ using ssb::SsbDatabase;
 // BuildQueryPlan calls on different threads stay independent.
 thread_local const LinearHashTable::ParallelFor* g_parallel_for = nullptr;
 
-// Builds a dimension hash table over rows passing `pred`, keyed by
-// `key_of(row)` with payload `payload_of(row)`. The qualifying pairs are
-// materialized once and bulk-inserted, so large builds can use the
-// partitioned parallel path of LinearHashTable::InsertBatch.
-std::unique_ptr<LinearHashTable> BuildDimTable(
-    std::size_t n, const std::function<bool(std::size_t)>& pred,
-    const std::function<std::uint64_t(std::size_t)>& key_of,
-    const std::function<std::uint64_t(std::size_t)>& payload_of) {
+// Output group key a join's payload fills: 0, 1 or 2 (key 0 is the most
+// significant digit of the group id), or kMarker when the payload (1)
+// only marks a hit.
+constexpr int kMarker = -1;
+constexpr int kGroupKeys = 3;
+
+// The payloads of one join's qualifying dimension rows lie in [lo, hi]
+// (lo > hi: no row qualified) — the frame-of-reference idea the storage
+// layer uses, applied to group keys.
+struct PayloadFrame {
+  int group_key = kMarker;
+  std::uint64_t lo = ~0ULL;
+  std::uint64_t hi = 0;
+};
+
+// A plan under construction: joins in schema order, with one payload
+// frame per join.
+struct PlanBuilder {
+  BoundPlan bound;
+  std::vector<PayloadFrame> frames;
+};
+
+// Dimension row accessors. Customer, supplier and part rows are keyed by
+// their 1-based position; dates by their datekey column.
+std::uint64_t RowKey(std::size_t i) { return i + 1; }
+RowValue Col(const ssb::Column& col) {
+  return [&col](std::size_t i) { return col[i]; };
+}
+RowPred Between(const ssb::Column& col, std::uint64_t lo, std::uint64_t hi) {
+  return [&col, lo, hi](std::size_t i) { return col[i] >= lo && col[i] <= hi; };
+}
+bool AllRows(std::size_t) { return true; }
+
+// Joins `fact_key` against a dimension of `n` rows keyed by key_of(row):
+// builds the hash table over the rows passing `pred`, with payload
+// payload_of(row) for a group key and 1 for a marker. The one pass over
+// the qualifying rows also records the join's key range (zone-map join
+// pruning), its payload frame and its selectivity estimate, qualifying
+// rows / n (fact foreign keys are uniform over the dimension, so this is
+// exact in expectation). The pairs are bulk-inserted, so large builds can
+// use the partitioned parallel path of LinearHashTable::InsertBatch.
+void AddJoin(PlanBuilder& b, const ssb::Column& fact_key, std::size_t n,
+             const RowValue& key_of, const RowPred& pred,
+             int group_key = kMarker, const RowValue& payload_of = nullptr) {
+  JoinStage join{&fact_key, nullptr};
+  PayloadFrame frame{group_key};
   std::vector<std::uint64_t> keys, payloads;
   for (std::size_t i = 0; i < n; ++i) {
-    if (pred(i)) {
-      keys.push_back(key_of(i));
-      payloads.push_back(payload_of(i));
-    }
+    if (!pred(i)) continue;
+    const std::uint64_t key = key_of(i);
+    const std::uint64_t payload = group_key == kMarker ? 1 : payload_of(i);
+    join.key_lo = std::min(join.key_lo, key);
+    join.key_hi = std::max(join.key_hi, key);
+    frame.lo = std::min(frame.lo, payload);
+    frame.hi = std::max(frame.hi, payload);
+    keys.push_back(key);
+    payloads.push_back(payload);
   }
   auto table =
       std::make_unique<LinearHashTable>(keys.empty() ? 1 : keys.size());
   table->InsertBatch(
       keys.data(), payloads.data(), keys.size(),
       g_parallel_for == nullptr ? nullptr : *g_parallel_for);
-  return table;
+  join.table = table.get();
+  join.selectivity =
+      static_cast<double>(keys.size()) / static_cast<double>(n);
+  b.bound.tables.push_back(std::move(table));
+  b.bound.plan.joins.push_back(join);
+  b.frames.push_back(frame);
 }
 
-std::unique_ptr<LinearHashTable> DateTable(
-    const SsbDatabase& db, const std::function<bool(std::size_t)>& pred,
-    const std::function<std::uint64_t(std::size_t)>& payload) {
-  return BuildDimTable(
-      db.date.n, pred, [&db](std::size_t i) { return db.date.datekey[i]; },
-      payload);
-}
-
-std::unique_ptr<LinearHashTable> CustomerTable(
-    const SsbDatabase& db, const std::function<bool(std::size_t)>& pred,
-    const std::function<std::uint64_t(std::size_t)>& payload) {
-  return BuildDimTable(
-      db.customer.n, pred, [](std::size_t i) { return i + 1; }, payload);
-}
-
-std::unique_ptr<LinearHashTable> SupplierTable(
-    const SsbDatabase& db, const std::function<bool(std::size_t)>& pred,
-    const std::function<std::uint64_t(std::size_t)>& payload) {
-  return BuildDimTable(
-      db.supplier.n, pred, [](std::size_t i) { return i + 1; }, payload);
-}
-
-std::unique_ptr<LinearHashTable> PartTable(
-    const SsbDatabase& db, const std::function<bool(std::size_t)>& pred,
-    const std::function<std::uint64_t(std::size_t)>& payload) {
-  return BuildDimTable(
-      db.part.n, pred, [](std::size_t i) { return i + 1; }, payload);
-}
-
-BoundPlan BuildQ1(const SsbDatabase& db, QueryId id) {
+void BuildQ1(const SsbDatabase& db, QueryId id, PlanBuilder& b) {
   const auto& lo = db.lineorder;
-  BoundPlan bound;
-  StarPlan& plan = bound.plan;
+  StarPlan& plan = b.bound.plan;
   plan.value_a = &lo.extendedprice;
   plan.value_b = &lo.discount;
   plan.value_op = ValueOp::kSumProduct;
-  plan.gid_domain = 1;
-  plan.gid = [](const std::array<std::uint64_t, 4>&) { return 0; };
-  plan.decode = [](std::uint64_t) { return std::array<std::uint64_t, 3>{}; };
 
   switch (id) {
     case QueryId::kQ1_1:
@@ -92,123 +109,79 @@ BoundPlan BuildQ1(const SsbDatabase& db, QueryId id) {
                       {&lo.discount, 4, 6},
                       {&lo.quantity, 26, 35}};
       break;
-    case QueryId::kQ1_3: {
+    case QueryId::kQ1_3:
       // The week predicate needs the date dimension: join instead of a
       // datekey range.
       plan.filters = {{&lo.discount, 5, 7}, {&lo.quantity, 26, 35}};
-      bound.tables.push_back(DateTable(
-          db,
-          [&db](std::size_t i) {
-            return db.date.weeknuminyear[i] == 6 && db.date.year[i] == 1994;
-          },
-          [](std::size_t) { return 1; }));
-      plan.joins = {{&lo.orderdate, bound.tables.back().get()}};
+      AddJoin(b, lo.orderdate, db.date.n, Col(db.date.datekey),
+              [&db](std::size_t i) {
+                return db.date.weeknuminyear[i] == 6 &&
+                       db.date.year[i] == 1994;
+              });
       break;
-    }
     default:
       HEF_CHECK_MSG(false, "not a Q1 query");
   }
-  return bound;
 }
 
-BoundPlan BuildQ2(const SsbDatabase& db, QueryId id) {
+// Group by d_year, p_brand1.
+void BuildQ2(const SsbDatabase& db, QueryId id, PlanBuilder& b) {
   const auto& lo = db.lineorder;
-  std::uint64_t brand_lo = 0, brand_hi = 0;
+  RowPred part_pred;
   std::uint64_t supp_region = 0;
-  std::function<bool(std::size_t)> part_pred;
   switch (id) {
     case QueryId::kQ2_1:
       // p_category = 'MFGR#12', s_region = 'AMERICA'.
-      part_pred = [&db](std::size_t i) { return db.part.category[i] == 12; };
-      brand_lo = 1201;
-      brand_hi = 1240;
+      part_pred = Between(db.part.category, 12, 12);
       supp_region = ssb::kAmerica;
       break;
     case QueryId::kQ2_2:
       // p_brand1 between 'MFGR#2221' and 'MFGR#2228', s_region = 'ASIA'.
-      part_pred = [&db](std::size_t i) {
-        return db.part.brand1[i] >= 2221 && db.part.brand1[i] <= 2228;
-      };
-      brand_lo = 2221;
-      brand_hi = 2228;
+      part_pred = Between(db.part.brand1, 2221, 2228);
       supp_region = ssb::kAsia;
       break;
     case QueryId::kQ2_3:
       // p_brand1 = 'MFGR#2221', s_region = 'EUROPE'.
-      part_pred = [&db](std::size_t i) { return db.part.brand1[i] == 2221; };
-      brand_lo = 2221;
-      brand_hi = 2221;
+      part_pred = Between(db.part.brand1, 2221, 2221);
       supp_region = ssb::kEurope;
       break;
     default:
       HEF_CHECK_MSG(false, "not a Q2 query");
   }
 
-  BoundPlan bound;
-  bound.tables.push_back(PartTable(
-      db, part_pred, [&db](std::size_t i) { return db.part.brand1[i]; }));
-  bound.tables.push_back(SupplierTable(
-      db,
-      [&db, supp_region](std::size_t i) {
-        return db.supplier.region[i] == supp_region;
-      },
-      [](std::size_t) { return 1; }));
-  bound.tables.push_back(
-      DateTable(db, [](std::size_t) { return true; },
-                [&db](std::size_t i) { return db.date.year[i]; }));
-
-  const std::uint64_t brands = brand_hi - brand_lo + 1;
-  StarPlan& plan = bound.plan;
-  plan.joins = {{&lo.partkey, bound.tables[0].get()},
-                {&lo.suppkey, bound.tables[1].get()},
-                {&lo.orderdate, bound.tables[2].get()}};
-  plan.value_a = &lo.revenue;
-  plan.value_op = ValueOp::kSum;
-  plan.gid_domain = 7 * brands;
-  // Payload slots: 0 = brand, 1 = supplier marker, 2 = year.
-  plan.gid = [brand_lo, brands](const std::array<std::uint64_t, 4>& p) {
-    return (p[2] - ssb::kFirstYear) * brands + (p[0] - brand_lo);
-  };
-  plan.decode = [brand_lo, brands](std::uint64_t g) {
-    return std::array<std::uint64_t, 3>{ssb::kFirstYear + g / brands,
-                                        brand_lo + g % brands, 0};
-  };
-  return bound;
+  AddJoin(b, lo.partkey, db.part.n, RowKey, part_pred, 1,
+          Col(db.part.brand1));
+  AddJoin(b, lo.suppkey, db.supplier.n, RowKey,
+          Between(db.supplier.region, supp_region, supp_region));
+  AddJoin(b, lo.orderdate, db.date.n, Col(db.date.datekey), AllRows, 0,
+          Col(db.date.year));
+  b.bound.plan.value_a = &lo.revenue;
+  b.bound.plan.value_op = ValueOp::kSum;
 }
 
-BoundPlan BuildQ3(const SsbDatabase& db, QueryId id) {
+// Group by customer geo, supplier geo, d_year.
+void BuildQ3(const SsbDatabase& db, QueryId id, PlanBuilder& b) {
   const auto& lo = db.lineorder;
-  std::function<bool(std::size_t)> cust_pred, supp_pred, date_pred;
-  std::function<std::uint64_t(std::size_t)> cust_payload, supp_payload;
-  std::uint64_t geo_domain = 0;
+  RowPred cust_pred, supp_pred;
+  RowPred date_pred = [&db](std::size_t i) { return db.date.year[i] <= 1997; };
+  const ssb::Column* cust_geo = &db.customer.city;
+  const ssb::Column* supp_geo = &db.supplier.city;
 
   switch (id) {
     case QueryId::kQ3_1:
       // c_region = s_region = 'ASIA', d_year 1992..1997; group by
       // c_nation, s_nation, d_year.
-      cust_pred = [&db](std::size_t i) {
-        return db.customer.region[i] == ssb::kAsia;
-      };
-      supp_pred = [&db](std::size_t i) {
-        return db.supplier.region[i] == ssb::kAsia;
-      };
-      cust_payload = [&db](std::size_t i) { return db.customer.nation[i]; };
-      supp_payload = [&db](std::size_t i) { return db.supplier.nation[i]; };
-      date_pred = [&db](std::size_t i) { return db.date.year[i] <= 1997; };
-      geo_domain = ssb::kNumNations;
+      cust_pred = Between(db.customer.region, ssb::kAsia, ssb::kAsia);
+      supp_pred = Between(db.supplier.region, ssb::kAsia, ssb::kAsia);
+      cust_geo = &db.customer.nation;
+      supp_geo = &db.supplier.nation;
       break;
     case QueryId::kQ3_2:
       // c_nation = s_nation = 'UNITED STATES'; group by cities.
-      cust_pred = [&db](std::size_t i) {
-        return db.customer.nation[i] == ssb::kNationUnitedStates;
-      };
-      supp_pred = [&db](std::size_t i) {
-        return db.supplier.nation[i] == ssb::kNationUnitedStates;
-      };
-      cust_payload = [&db](std::size_t i) { return db.customer.city[i]; };
-      supp_payload = [&db](std::size_t i) { return db.supplier.city[i]; };
-      date_pred = [&db](std::size_t i) { return db.date.year[i] <= 1997; };
-      geo_domain = ssb::kNumCities;
+      cust_pred = Between(db.customer.nation, ssb::kNationUnitedStates,
+                          ssb::kNationUnitedStates);
+      supp_pred = Between(db.supplier.nation, ssb::kNationUnitedStates,
+                          ssb::kNationUnitedStates);
       break;
     case QueryId::kQ3_3:
     case QueryId::kQ3_4: {
@@ -222,214 +195,151 @@ BoundPlan BuildQ3(const SsbDatabase& db, QueryId id) {
       supp_pred = [&db, city_pred](std::size_t i) {
         return city_pred(db.supplier.city[i]);
       };
-      cust_payload = [&db](std::size_t i) { return db.customer.city[i]; };
-      supp_payload = [&db](std::size_t i) { return db.supplier.city[i]; };
       if (id == QueryId::kQ3_4) {
         // d_yearmonth = 'Dec1997'.
-        date_pred = [&db](std::size_t i) {
-          return db.date.yearmonthnum[i] == 199712;
-        };
-      } else {
-        date_pred = [&db](std::size_t i) { return db.date.year[i] <= 1997; };
+        date_pred = Between(db.date.yearmonthnum, 199712, 199712);
       }
-      geo_domain = ssb::kNumCities;
       break;
     }
     default:
       HEF_CHECK_MSG(false, "not a Q3 query");
   }
 
-  BoundPlan bound;
-  bound.tables.push_back(CustomerTable(db, cust_pred, cust_payload));
-  bound.tables.push_back(SupplierTable(db, supp_pred, supp_payload));
-  bound.tables.push_back(DateTable(
-      db, date_pred, [&db](std::size_t i) { return db.date.year[i]; }));
-
-  StarPlan& plan = bound.plan;
-  plan.joins = {{&lo.custkey, bound.tables[0].get()},
-                {&lo.suppkey, bound.tables[1].get()},
-                {&lo.orderdate, bound.tables[2].get()}};
-  plan.value_a = &lo.revenue;
-  plan.value_op = ValueOp::kSum;
-  const std::uint64_t years = 7;
-  plan.gid_domain = geo_domain * geo_domain * years;
-  // Payload slots: 0 = customer geo, 1 = supplier geo, 2 = year.
-  plan.gid = [geo_domain, years](const std::array<std::uint64_t, 4>& p) {
-    return (p[0] * geo_domain + p[1]) * years + (p[2] - ssb::kFirstYear);
-  };
-  plan.decode = [geo_domain, years](std::uint64_t g) {
-    return std::array<std::uint64_t, 3>{g / (geo_domain * years),
-                                        (g / years) % geo_domain,
-                                        ssb::kFirstYear + g % years};
-  };
-  return bound;
+  AddJoin(b, lo.custkey, db.customer.n, RowKey, cust_pred, 0, Col(*cust_geo));
+  AddJoin(b, lo.suppkey, db.supplier.n, RowKey, supp_pred, 1, Col(*supp_geo));
+  AddJoin(b, lo.orderdate, db.date.n, Col(db.date.datekey), date_pred, 2,
+          Col(db.date.year));
+  b.bound.plan.value_a = &lo.revenue;
+  b.bound.plan.value_op = ValueOp::kSum;
 }
 
-BoundPlan BuildQ4(const SsbDatabase& db, QueryId id) {
+void BuildQ4(const SsbDatabase& db, QueryId id, PlanBuilder& b) {
   const auto& lo = db.lineorder;
-  BoundPlan bound;
-  StarPlan& plan = bound.plan;
+  StarPlan& plan = b.bound.plan;
   plan.value_a = &lo.revenue;
   plan.value_b = &lo.supplycost;
   plan.value_op = ValueOp::kSumDiff;
+  const RowPred cust_america =
+      Between(db.customer.region, ssb::kAmerica, ssb::kAmerica);
+  const RowPred mfgr_1_2 = [&db](std::size_t i) {
+    return db.part.mfgr[i] <= 2;
+  };
+  const RowPred years_97_98 = [&db](std::size_t i) {
+    return db.date.year[i] >= 1997;
+  };
 
   switch (id) {
-    case QueryId::kQ4_1: {
+    case QueryId::kQ4_1:
       // c_region = s_region = 'AMERICA', p_mfgr in {1, 2};
       // group by d_year, c_nation.
-      bound.tables.push_back(CustomerTable(
-          db,
-          [&db](std::size_t i) {
-            return db.customer.region[i] == ssb::kAmerica;
-          },
-          [&db](std::size_t i) { return db.customer.nation[i]; }));
-      bound.tables.push_back(SupplierTable(
-          db,
-          [&db](std::size_t i) {
-            return db.supplier.region[i] == ssb::kAmerica;
-          },
-          [](std::size_t) { return 1; }));
-      bound.tables.push_back(
-          PartTable(db, [&db](std::size_t i) { return db.part.mfgr[i] <= 2; },
-                    [](std::size_t) { return 1; }));
-      bound.tables.push_back(
-          DateTable(db, [](std::size_t) { return true; },
-                    [&db](std::size_t i) { return db.date.year[i]; }));
-      plan.joins = {{&lo.custkey, bound.tables[0].get()},
-                    {&lo.suppkey, bound.tables[1].get()},
-                    {&lo.partkey, bound.tables[2].get()},
-                    {&lo.orderdate, bound.tables[3].get()}};
-      // Payload slots: 0 = c_nation, 1/2 markers, 3 = year.
-      plan.gid_domain = 7 * ssb::kNumNations;
-      plan.gid = [](const std::array<std::uint64_t, 4>& p) {
-        return (p[3] - ssb::kFirstYear) * ssb::kNumNations + p[0];
-      };
-      plan.decode = [](std::uint64_t g) {
-        return std::array<std::uint64_t, 3>{
-            ssb::kFirstYear + g / ssb::kNumNations, g % ssb::kNumNations, 0};
-      };
+      AddJoin(b, lo.custkey, db.customer.n, RowKey, cust_america, 1,
+              Col(db.customer.nation));
+      AddJoin(b, lo.suppkey, db.supplier.n, RowKey,
+              Between(db.supplier.region, ssb::kAmerica, ssb::kAmerica));
+      AddJoin(b, lo.partkey, db.part.n, RowKey, mfgr_1_2);
+      AddJoin(b, lo.orderdate, db.date.n, Col(db.date.datekey), AllRows, 0,
+              Col(db.date.year));
       break;
-    }
-    case QueryId::kQ4_2: {
+    case QueryId::kQ4_2:
       // + d_year in {1997, 1998}; group by d_year, s_nation, p_category.
-      bound.tables.push_back(CustomerTable(
-          db,
-          [&db](std::size_t i) {
-            return db.customer.region[i] == ssb::kAmerica;
-          },
-          [](std::size_t) { return 1; }));
-      bound.tables.push_back(SupplierTable(
-          db,
-          [&db](std::size_t i) {
-            return db.supplier.region[i] == ssb::kAmerica;
-          },
-          [&db](std::size_t i) { return db.supplier.nation[i]; }));
-      bound.tables.push_back(PartTable(
-          db, [&db](std::size_t i) { return db.part.mfgr[i] <= 2; },
-          [&db](std::size_t i) { return db.part.category[i]; }));
-      bound.tables.push_back(DateTable(
-          db, [&db](std::size_t i) { return db.date.year[i] >= 1997; },
-          [&db](std::size_t i) { return db.date.year[i]; }));
-      plan.joins = {{&lo.custkey, bound.tables[0].get()},
-                    {&lo.suppkey, bound.tables[1].get()},
-                    {&lo.partkey, bound.tables[2].get()},
-                    {&lo.orderdate, bound.tables[3].get()}};
-      // Payload slots: 0 marker, 1 = s_nation, 2 = category, 3 = year.
-      constexpr std::uint64_t kCatDomain = 56;
-      plan.gid_domain = 2 * ssb::kNumNations * kCatDomain;
-      plan.gid = [](const std::array<std::uint64_t, 4>& p) {
-        return ((p[3] - 1997) * ssb::kNumNations + p[1]) * kCatDomain + p[2];
-      };
-      plan.decode = [](std::uint64_t g) {
-        return std::array<std::uint64_t, 3>{
-            1997 + g / (ssb::kNumNations * kCatDomain),
-            (g / kCatDomain) % ssb::kNumNations, g % kCatDomain};
-      };
+      AddJoin(b, lo.custkey, db.customer.n, RowKey, cust_america);
+      AddJoin(b, lo.suppkey, db.supplier.n, RowKey,
+              Between(db.supplier.region, ssb::kAmerica, ssb::kAmerica), 1,
+              Col(db.supplier.nation));
+      AddJoin(b, lo.partkey, db.part.n, RowKey, mfgr_1_2, 2,
+              Col(db.part.category));
+      AddJoin(b, lo.orderdate, db.date.n, Col(db.date.datekey), years_97_98,
+              0, Col(db.date.year));
       break;
-    }
-    case QueryId::kQ4_3: {
+    case QueryId::kQ4_3:
       // s_nation = 'UNITED STATES', p_category = 'MFGR#14',
       // c_region = 'AMERICA', d_year in {1997, 1998};
       // group by d_year, s_city, p_brand1.
-      bound.tables.push_back(SupplierTable(
-          db,
-          [&db](std::size_t i) {
-            return db.supplier.nation[i] == ssb::kNationUnitedStates;
-          },
-          [&db](std::size_t i) { return db.supplier.city[i]; }));
-      bound.tables.push_back(PartTable(
-          db, [&db](std::size_t i) { return db.part.category[i] == 14; },
-          [&db](std::size_t i) { return db.part.brand1[i]; }));
-      bound.tables.push_back(CustomerTable(
-          db,
-          [&db](std::size_t i) {
-            return db.customer.region[i] == ssb::kAmerica;
-          },
-          [](std::size_t) { return 1; }));
-      bound.tables.push_back(DateTable(
-          db, [&db](std::size_t i) { return db.date.year[i] >= 1997; },
-          [&db](std::size_t i) { return db.date.year[i]; }));
-      plan.joins = {{&lo.suppkey, bound.tables[0].get()},
-                    {&lo.partkey, bound.tables[1].get()},
-                    {&lo.custkey, bound.tables[2].get()},
-                    {&lo.orderdate, bound.tables[3].get()}};
-      // Payload slots: 0 = s_city, 1 = brand (1401..1440), 2 marker,
-      // 3 = year.
-      constexpr std::uint64_t kBrands = 40;
-      plan.gid_domain = 2 * ssb::kNumCities * kBrands;
-      plan.gid = [](const std::array<std::uint64_t, 4>& p) {
-        return ((p[3] - 1997) * ssb::kNumCities + p[0]) * kBrands +
-               (p[1] - 1401);
-      };
-      plan.decode = [](std::uint64_t g) {
-        return std::array<std::uint64_t, 3>{
-            1997 + g / (ssb::kNumCities * kBrands),
-            (g / kBrands) % ssb::kNumCities, 1401 + g % kBrands};
-      };
+      AddJoin(b, lo.suppkey, db.supplier.n, RowKey,
+              Between(db.supplier.nation, ssb::kNationUnitedStates,
+                      ssb::kNationUnitedStates),
+              1, Col(db.supplier.city));
+      AddJoin(b, lo.partkey, db.part.n, RowKey,
+              Between(db.part.category, 14, 14), 2, Col(db.part.brand1));
+      AddJoin(b, lo.custkey, db.customer.n, RowKey, cust_america);
+      AddJoin(b, lo.orderdate, db.date.n, Col(db.date.datekey), years_97_98,
+              0, Col(db.date.year));
       break;
-    }
     default:
       HEF_CHECK_MSG(false, "not a Q4 query");
   }
-  return bound;
 }
 
-}  // namespace
-
-namespace {
-
-BoundPlan BuildQueryPlanUnordered(const SsbDatabase& db, QueryId id) {
+void BuildQuery(const SsbDatabase& db, QueryId id, PlanBuilder& b) {
   switch (id) {
     case QueryId::kQ1_1:
     case QueryId::kQ1_2:
     case QueryId::kQ1_3:
-      return BuildQ1(db, id);
+      return BuildQ1(db, id, b);
     case QueryId::kQ2_1:
     case QueryId::kQ2_2:
     case QueryId::kQ2_3:
-      return BuildQ2(db, id);
+      return BuildQ2(db, id, b);
     case QueryId::kQ3_1:
     case QueryId::kQ3_2:
     case QueryId::kQ3_3:
     case QueryId::kQ3_4:
-      return BuildQ3(db, id);
+      return BuildQ3(db, id, b);
     case QueryId::kQ4_1:
     case QueryId::kQ4_2:
     case QueryId::kQ4_3:
-      return BuildQ4(db, id);
+      return BuildQ4(db, id, b);
   }
   HEF_CHECK_MSG(false, "unknown query id");
-  __builtin_unreachable();
 }
 
-// Foreign-key domain of a join: the referenced dimension's cardinality.
-std::size_t FkDomain(const SsbDatabase& db, const JoinStage& join) {
-  if (join.fact_key == &db.lineorder.custkey) return db.customer.n;
-  if (join.fact_key == &db.lineorder.suppkey) return db.supplier.n;
-  if (join.fact_key == &db.lineorder.partkey) return db.part.n;
-  if (join.fact_key == &db.lineorder.orderdate) return db.date.n;
-  HEF_CHECK_MSG(false, "unknown fact foreign key");
-  __builtin_unreachable();
+// The one group-key layout: a mixed radix over the payload frames, key 0
+// most significant, so gid order is key-tuple order and gid_domain is the
+// product of the frame widths. The digit of a key is its join's payload
+// minus the frame's lo; a marker join has stride 0. A key no join fills,
+// or whose frame is empty, has width 1 and decodes to its lo (0 when
+// empty, never rendered: no row reaches that group).
+void SetGroupLayout(const std::vector<PayloadFrame>& frames,
+                    StarPlan* plan) {
+  std::array<std::uint64_t, kGroupKeys> lo{}, stride{};
+  std::array<std::uint64_t, kGroupKeys> width{1, 1, 1};
+  for (const PayloadFrame& f : frames) {
+    if (f.group_key == kMarker || f.lo > f.hi) continue;
+    lo[f.group_key] = f.lo;
+    width[f.group_key] = f.hi - f.lo + 1;
+  }
+  std::uint64_t domain = 1;
+  for (int k = kGroupKeys - 1; k >= 0; --k) {
+    stride[k] = domain;
+    domain *= width[k];
+  }
+  // One stride per payload slot, 0 for markers and unused slots: four
+  // fixed multiplies per row cost less than a loop over the keyed slots.
+  std::array<std::uint64_t, 4> slot_stride{};
+  HEF_CHECK(frames.size() <= slot_stride.size());
+  std::uint64_t base = 0;
+  std::array<bool, kGroupKeys> filled{};
+  for (std::size_t j = 0; j < frames.size(); ++j) {
+    const int k = frames[j].group_key;
+    if (k == kMarker) continue;
+    HEF_CHECK_MSG(!filled[k], "two joins fill one group key");
+    filled[k] = true;
+    slot_stride[j] = stride[k];
+    base += lo[k] * stride[k];
+  }
+  plan->gid_domain = domain;
+  // Wraps modulo 2^64 exactly: every payload is at least its frame's lo.
+  plan->gid = [slot_stride, base](const std::array<std::uint64_t, 4>& p) {
+    return p[0] * slot_stride[0] + p[1] * slot_stride[1] +
+           p[2] * slot_stride[2] + p[3] * slot_stride[3] - base;
+  };
+  plan->decode = [lo, stride, width](std::uint64_t g) {
+    std::array<std::uint64_t, kGroupKeys> keys{};
+    for (int k = 0; k < kGroupKeys; ++k) {
+      keys[k] = lo[k] + g / stride[k] % width[k];
+    }
+    return keys;
+  };
 }
 
 }  // namespace
@@ -456,36 +366,23 @@ BoundPlan BuildQueryPlan(const SsbDatabase& db, QueryId id,
                          const PlanBuildOptions& options) {
   g_parallel_for =
       options.parallel_for == nullptr ? nullptr : &options.parallel_for;
-  BoundPlan bound = BuildQueryPlanUnordered(db, id);
+  PlanBuilder builder;
+  BuildQuery(db, id, builder);
   g_parallel_for = nullptr;
+  StarPlan& plan = builder.bound.plan;
   // Fix payload slots to schema order before any reordering: the plan's
   // gid/decode functions address payloads by these slots.
-  for (std::size_t j = 0; j < bound.plan.joins.size(); ++j) {
-    bound.plan.joins[j].payload_slot = static_cast<int>(j);
+  for (std::size_t j = 0; j < plan.joins.size(); ++j) {
+    plan.joins[j].payload_slot = static_cast<int>(j);
   }
+  SetGroupLayout(builder.frames, &plan);
   // Selectivity-based probe ordering: most selective join first minimizes
   // the rows every later probe touches.
-  for (JoinStage& join : bound.plan.joins) {
-    join.selectivity = static_cast<double>(join.table->size()) /
-                       static_cast<double>(FkDomain(db, join));
-  }
-  std::stable_sort(bound.plan.joins.begin(), bound.plan.joins.end(),
+  std::stable_sort(plan.joins.begin(), plan.joins.end(),
                    [](const JoinStage& a, const JoinStage& b) {
                      return a.selectivity < b.selectivity;
                    });
-  // Key ranges for zone-map join pruning: scan each table's key slab
-  // once. Dimension filters are usually range-shaped in key space (a
-  // week of datekeys, a brand interval), so [key_lo, key_hi] is a tight
-  // necessary condition on matching fact chunks.
-  for (JoinStage& join : bound.plan.joins) {
-    for (std::size_t slot = 0; slot < join.table->capacity(); ++slot) {
-      const std::uint64_t key = join.table->keys()[slot];
-      if (key == kEmptyKey) continue;
-      join.key_lo = std::min(join.key_lo, key);
-      join.key_hi = std::max(join.key_hi, key);
-    }
-  }
-  return bound;
+  return std::move(builder.bound);
 }
 
 }  // namespace hef

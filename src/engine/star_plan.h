@@ -51,9 +51,18 @@ struct JoinStage {
 };
 
 // A fully-bound star query plan. `gid` maps the join payloads of one
-// surviving row to a dense group id; `decode` maps a group id back to the
-// output key attributes (the payload slot convention is per query and
-// documented at the build site).
+// surviving row (indexed by payload slot) to a dense group id; `decode`
+// maps a group id back to the output key attributes.
+//
+// The group-key layout is framed at plan build: each join's payload is
+// either a marker (1 on every hit, no output key) or one of the three
+// output keys, and the plan records the frame [lo, hi] of the payloads
+// the dimension rows passing its predicate carry. Group ids are a mixed
+// radix over those frames, key 0 most significant: gid(p) is the sum of
+// (p[slot] - lo) * stride over the keyed joins and decode(g)[k] is
+// lo + (g / stride) % width. `gid_domain` is the product of the frame
+// widths — the groups that can occur — and at least 1 (an empty frame,
+// or a key no join fills, has width 1). Keys no join fills decode to 0.
 struct StarPlan {
   std::vector<RangeFilter> filters;
   std::vector<JoinStage> joins;  // probe order: most selective first

@@ -1,13 +1,17 @@
-// Tests for the star planner: selectivity estimation, probe ordering, and
-// plan structure per query.
+// Tests for the star planner: selectivity estimation, probe ordering,
+// plan structure per query, and the framed group-key layout.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
+#include "engine/engine.h"
+#include "engine/reference.h"
 #include "engine/star_plan.h"
 #include "ssb/database.h"
+#include "voila/voila_engine.h"
 
 namespace hef {
 namespace {
@@ -91,20 +95,85 @@ TEST(StarPlanTest, MeasureColumnsPerQueryClass) {
   EXPECT_EQ(q4.plan.value_b, &db.lineorder.supplycost);
 }
 
+bool HasEmptyJoin(const StarPlan& plan) {
+  return std::any_of(plan.joins.begin(), plan.joins.end(),
+                     [](const JoinStage& j) { return j.table->size() == 0; });
+}
+
+// Smallest and largest payload each join table holds, by payload slot.
+std::array<std::array<std::uint64_t, 4>, 2> PayloadEnds(const StarPlan& plan) {
+  std::array<std::array<std::uint64_t, 4>, 2> ends{};
+  for (const JoinStage& join : plan.joins) {
+    std::uint64_t lo = ~0ULL, hi = 0;
+    for (std::size_t s = 0; s < join.table->capacity(); ++s) {
+      if (join.table->keys()[s] == kEmptyKey) continue;
+      lo = std::min(lo, join.table->values()[s]);
+      hi = std::max(hi, join.table->values()[s]);
+    }
+    ends[0][join.payload_slot] = lo;
+    ends[1][join.payload_slot] = hi;
+  }
+  return ends;
+}
+
 TEST(StarPlanTest, GidDecodeRoundTripsOverDomain) {
-  for (const QueryId id : {QueryId::kQ2_1, QueryId::kQ3_2, QueryId::kQ4_2,
-                           QueryId::kQ4_3}) {
+  // Upper bounds on gid_domain at any scale factor: the product of the
+  // widths of the group payloads the dimension predicates let through
+  // (nations/cities of one region/nation, one category's 40 brands, the
+  // years a date predicate keeps), from the codes in ssb/schema.h.
+  const std::map<QueryId, std::size_t> kMaxDomain = {
+      {QueryId::kQ1_1, 1},   {QueryId::kQ1_2, 1},   {QueryId::kQ1_3, 1},
+      {QueryId::kQ2_1, 280}, {QueryId::kQ2_2, 56},  {QueryId::kQ2_3, 7},
+      {QueryId::kQ3_1, 150}, {QueryId::kQ3_2, 600}, {QueryId::kQ3_3, 150},
+      {QueryId::kQ3_4, 25},  {QueryId::kQ4_1, 35},  {QueryId::kQ4_2, 150},
+      {QueryId::kQ4_3, 800}};
+  for (const QueryId id : AllQueries()) {
     const BoundPlan bound = BuildQueryPlan(TestDb(), id);
-    // decode must be injective over the domain (no two gids render the
-    // same key tuple) — spot-check a stride of gids.
+    const StarPlan& plan = bound.plan;
+    ASSERT_GE(plan.gid_domain, 1u) << QueryName(id);
+    EXPECT_LE(plan.gid_domain, kMaxDomain.at(id)) << QueryName(id);
+    // decode is injective over the whole domain: no two gids render the
+    // same key tuple.
     std::set<std::array<std::uint64_t, 3>> seen;
-    const std::size_t stride =
-        std::max<std::size_t>(1, bound.plan.gid_domain / 997);
-    for (std::size_t g = 0; g < bound.plan.gid_domain; g += stride) {
-      ASSERT_TRUE(seen.insert(bound.plan.decode(g)).second)
+    for (std::size_t g = 0; g < plan.gid_domain; ++g) {
+      ASSERT_TRUE(seen.insert(plan.decode(g)).second)
           << QueryName(id) << " gid " << g;
     }
+    // The domain is tight: the smallest and largest payloads the tables
+    // hold land on its two ends (unless a table holds none).
+    if (HasEmptyJoin(plan)) continue;
+    const auto ends = PayloadEnds(plan);
+    EXPECT_EQ(plan.gid(ends[0]), 0u) << QueryName(id);
+    EXPECT_EQ(plan.gid(ends[1]), plan.gid_domain - 1) << QueryName(id);
   }
+
+  // A join table no dimension row reaches (a Q3.3/Q3.4 city filter keeps
+  // 2 of 250 cities, so tiny scale factors hold seeds where no supplier
+  // or customer passes) still frames to a domain of at least 1, and
+  // every engine returns the reference's empty result.
+  for (std::uint64_t seed = 1; seed < 64; ++seed) {
+    const ssb::SsbDatabase db = ssb::SsbDatabase::Generate(0.002, seed);
+    for (const QueryId id : {QueryId::kQ3_3, QueryId::kQ3_4}) {
+      const BoundPlan bound = BuildQueryPlan(db, id);
+      if (!HasEmptyJoin(bound.plan)) continue;
+      EXPECT_GE(bound.plan.gid_domain, 1u) << QueryName(id);
+      const QueryResult want = RunReferenceQuery(db, id);
+      EXPECT_TRUE(want.rows.empty()) << QueryName(id) << " seed " << seed;
+      for (Flavor flavor :
+           {Flavor::kScalar, Flavor::kSimd, Flavor::kHybrid}) {
+        EngineConfig config;
+        config.flavor = flavor;
+        SsbEngine engine(db, config);
+        EXPECT_EQ(engine.Run(id), want)
+            << QueryName(id) << " seed " << seed << " "
+            << FlavorName(flavor);
+      }
+      VoilaEngine voila(db);
+      EXPECT_EQ(voila.Run(id), want) << QueryName(id) << " seed " << seed;
+      return;
+    }
+  }
+  FAIL() << "no seed gave a Q3.3/Q3.4 join table with no rows";
 }
 
 }  // namespace

@@ -83,6 +83,27 @@ void WarnCacheError(const char* action, const Status& status) {
       .Increment();
 }
 
+// Loads the tuning cache at `path` and, when it holds both a probe and a
+// gather point, configures `engine` with them, registers their predicted
+// costs as the drift sentinel's references (so per-operator windows get
+// residuals) and says so on `out`.
+void ApplyCachedTuning(const std::string& path, EngineConfig* engine,
+                       std::FILE* out) {
+  TuningCache cache(path);
+  WarnCacheError("load", cache.Load());
+  if (!cache.Contains("probe") || !cache.Contains("gather")) return;
+  const TuningCache::Entry probe = cache.Get("probe").value();
+  const TuningCache::Entry gather = cache.Get("gather").value();
+  engine->probe_cfg = probe.config;
+  engine->gather_cfg = gather.config;
+  DriftMonitor& drift = DriftMonitor::Get();
+  drift.SetPrediction("probe", probe.config.ToString(), probe.ns_per_row);
+  drift.SetPrediction("gather", gather.config.ToString(), gather.ns_per_row);
+  std::fprintf(out, "using cached tuning: probe %s, gather %s\n",
+               engine->probe_cfg.ToString().c_str(),
+               engine->gather_cfg.ToString().c_str());
+}
+
 int CmdInfo(int argc, char** argv) {
   FlagParser flags;
   flags.AddString("model", "host", "processor model to describe");
@@ -265,24 +286,7 @@ int CmdQuery(int argc, char** argv) {
 
   EngineConfig hybrid_cfg;
   hybrid_cfg.flavor = Flavor::kHybrid;
-  TuningCache cache(flags.GetString("cache"));
-  WarnCacheError("load", cache.Load());
-  if (cache.Contains("probe") && cache.Contains("gather")) {
-    const TuningCache::Entry probe = cache.Get("probe").value();
-    const TuningCache::Entry gather = cache.Get("gather").value();
-    hybrid_cfg.probe_cfg = probe.config;
-    hybrid_cfg.gather_cfg = gather.config;
-    std::printf("using cached tuning: probe %s, gather %s\n",
-                hybrid_cfg.probe_cfg.ToString().c_str(),
-                hybrid_cfg.gather_cfg.ToString().c_str());
-    // Register the tuner's cost predictions so the drift sentinel can
-    // compute residuals for this run's per-operator windows (--stats).
-    DriftMonitor& drift = DriftMonitor::Get();
-    drift.SetPrediction("probe", probe.config.ToString(),
-                        probe.ns_per_row);
-    drift.SetPrediction("gather", gather.config.ToString(),
-                        gather.ns_per_row);
-  }
+  ApplyCachedTuning(flags.GetString("cache"), &hybrid_cfg, stdout);
 
   telemetry::BenchReport report("hef_query");
   report.SetConfig("query", QueryName(query.value()));
@@ -917,22 +921,7 @@ int CmdServe(int argc, char** argv) {
   // their predicted costs become the drift sentinel's references — a
   // serve process then reports residuals on /driftz exactly like the
   // bench harnesses.
-  TuningCache cache(flags.GetString("cache"));
-  WarnCacheError("load", cache.Load());
-  if (cache.Contains("probe") && cache.Contains("gather")) {
-    const TuningCache::Entry probe = cache.Get("probe").value();
-    const TuningCache::Entry gather = cache.Get("gather").value();
-    config.engine.probe_cfg = probe.config;
-    config.engine.gather_cfg = gather.config;
-    DriftMonitor& drift = DriftMonitor::Get();
-    drift.SetPrediction("probe", probe.config.ToString(),
-                        probe.ns_per_row);
-    drift.SetPrediction("gather", gather.config.ToString(),
-                        gather.ns_per_row);
-    std::fprintf(stderr, "using cached tuning: probe %s, gather %s\n",
-                 config.engine.probe_cfg.ToString().c_str(),
-                 config.engine.gather_cfg.ToString().c_str());
-  }
+  ApplyCachedTuning(flags.GetString("cache"), &config.engine, stderr);
   config.http_workers = static_cast<int>(flags.GetInt64("http_workers"));
   if (config.http_workers <= 0) {
     // A worker blocks for the whole admitted lifetime of its request, so
