@@ -15,7 +15,7 @@
 #include "common/text_table.h"
 #include "portmodel/port_model.h"
 #include "telemetry/bench_report.h"
-#include "tuner/kernel_tuners.h"
+#include "tuner/kernel_table.h"
 #include "tuner/tune_trace.h"
 
 namespace hef {
@@ -78,7 +78,7 @@ int Main(int argc, char** argv) {
 
   HybridConfig hybrid{8, 0, 1};
   if (flags.GetBool("tune")) {
-    const TuneResult tuned = TuneCrc64({});
+    const TuneResult tuned = TuneKernel(FindKernel("crc64"));
     report.AddSection("tune_trace", TuneTraceToJson(tuned));
     hybrid = tuned.best;
     std::printf("tuned hybrid optimum on this host: %s "

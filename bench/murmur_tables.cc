@@ -17,7 +17,7 @@
 #include "common/text_table.h"
 #include "portmodel/port_model.h"
 #include "telemetry/bench_report.h"
-#include "tuner/kernel_tuners.h"
+#include "tuner/kernel_table.h"
 #include "tuner/tune_trace.h"
 
 namespace hef {
@@ -83,7 +83,7 @@ int Main(int argc, char** argv) {
 
   HybridConfig hybrid{1, 3, 2};
   if (flags.GetBool("tune")) {
-    const TuneResult tuned = TuneMurmur({});
+    const TuneResult tuned = TuneKernel(FindKernel("murmur"));
     report.AddSection("tune_trace", TuneTraceToJson(tuned));
     hybrid = tuned.best;
     std::printf("tuned hybrid optimum on this host: %s "

@@ -16,7 +16,7 @@
 #include "table/linear_hash_table.h"
 #include "table/probe.h"
 #include "table/probe_interleaved.h"
-#include "tuner/kernel_tuners.h"
+#include "tuner/kernel_table.h"
 
 namespace hef {
 namespace {
@@ -66,7 +66,8 @@ int Main(int argc, char** argv) {
     topt.elements = std::min<std::size_t>(n, 1 << 18);
     topt.probe_table_keys = table_keys;
     topt.repetitions = 3;
-    const HybridConfig hybrid = TuneProbe(topt).best;
+    const HybridConfig hybrid =
+        TuneKernel(FindKernel("probe"), topt).best;
 
     auto measure = [&](auto&& fn) {
       return bench::MeasureBest(fn, repetitions, &counters).ms * 1e6 /

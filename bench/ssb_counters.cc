@@ -18,7 +18,7 @@
 #include "exec/runtime.h"
 #include "ssb/database.h"
 #include "telemetry/bench_report.h"
-#include "tuner/kernel_tuners.h"
+#include "tuner/kernel_table.h"
 #include "tuner/query_tuner.h"
 #include "voila/voila_engine.h"
 
@@ -83,7 +83,7 @@ int Main(int argc, char** argv) {
     KernelTuneOptions gopt;
     gopt.repetitions = 7;
     gopt.elements = 1 << 18;
-    hybrid_cfg.gather_cfg = TuneGather(gopt).best;
+    hybrid_cfg.gather_cfg = TuneKernel(FindKernel("gather"), gopt).best;
     std::printf("hybrid kernels: probe %s, gather %s\n",
                 hybrid_cfg.probe_cfg.ToString().c_str(),
                 hybrid_cfg.gather_cfg.ToString().c_str());

@@ -18,7 +18,7 @@
 #include "engine/engine.h"
 #include "exec/runtime.h"
 #include "ssb/database.h"
-#include "tuner/kernel_tuners.h"
+#include "tuner/kernel_table.h"
 #include "tuner/query_tuner.h"
 
 namespace hef {
@@ -58,7 +58,8 @@ int Main(int argc, char** argv) {
   topt.elements = 1 << 18;
   topt.probe_table_keys = db.part.n;
   topt.probe_hit_rate = 0.3;
-  const HybridConfig global_probe = TuneProbe(topt).best;
+  const HybridConfig global_probe =
+      TuneKernel(FindKernel("probe"), topt).best;
   std::printf("globally tuned probe: %s\n\n",
               global_probe.ToString().c_str());
 

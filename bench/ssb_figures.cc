@@ -20,7 +20,7 @@
 #include "exec/runtime.h"
 #include "ssb/database.h"
 #include "telemetry/bench_report.h"
-#include "tuner/kernel_tuners.h"
+#include "tuner/kernel_table.h"
 #include "tuner/query_tuner.h"
 #include "tuner/tune_trace.h"
 #include "voila/voila_engine.h"
@@ -92,7 +92,7 @@ int Main(int argc, char** argv) {
     KernelTuneOptions gopt;
     gopt.repetitions = 7;
     gopt.elements = 1 << 18;
-    const TuneResult gather = TuneGather(gopt);
+    const TuneResult gather = TuneKernel(FindKernel("gather"), gopt);
     hybrid_cfg.probe_cfg = probe.probe;
     hybrid_cfg.gather_cfg = gather.best;
     std::printf("  probe kernel:  %s (%d nodes, test queries "

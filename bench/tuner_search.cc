@@ -8,18 +8,13 @@
 // of the O(v*s*p) space.
 
 #include <cstdio>
+#include <vector>
 
-#include "algo/crc64.h"
-#include "algo/murmur.h"
-#include "algo/reduce.h"
 #include "common/flags.h"
 #include "common/text_table.h"
-#include "engine/primitives.h"
-#include "table/bloom_filter.h"
-#include "table/probe.h"
 #include "telemetry/bench_report.h"
 #include "tuner/candidate_generator.h"
-#include "tuner/kernel_tuners.h"
+#include "tuner/kernel_table.h"
 #include "tuner/search_space.h"
 #include "tuner/tune_trace.h"
 
@@ -41,27 +36,30 @@ int Main(int argc, char** argv) {
     flags.PrintUsage(argv[0]);
     return 0;
   }
+  if (flags.GetInt64("elements") < 1 || flags.GetInt64("repetitions") < 1) {
+    std::fprintf(stderr, "--elements and --repetitions must be >= 1\n");
+    return 1;
+  }
 
   std::printf("== tuner search-cost harness (paper Eq. 1/2, Alg. 2) ==\n\n");
+
+  // Every kernel with a standalone tuning workload.
+  std::vector<const KernelEntry*> kernels;
+  for (const KernelEntry& entry : KernelTable()) {
+    if (entry.workload != nullptr) kernels.push_back(&entry);
+  }
 
   // Candidate-generator seeds (the paper's two-stage model) per testbed.
   TextTable seeds;
   seeds.AddRow({"Operator", "silver4110 seed", "gold6240r seed"});
-  struct Op {
-    const char* name;
-    std::vector<OpClass> ops;
-  };
-  for (const Op& op : {Op{"murmur", MurmurKernel::Ops()},
-                       Op{"crc64", Crc64Kernel::Ops()},
-                       Op{"probe", ProbeKernel::Ops()},
-                       Op{"gather", GatherKernelOps()}}) {
+  for (const KernelEntry* k : kernels) {
     seeds.AddRow(
-        {op.name,
+        {k->name,
          GenerateInitialCandidate(ProcessorModel::Silver4110(),
-                                  {op.ops, Isa::kAvx512})
+                                  {k->ops, Isa::kAvx512})
              .ToString(),
          GenerateInitialCandidate(ProcessorModel::Gold6240R(),
-                                  {op.ops, Isa::kAvx512})
+                                  {k->ops, Isa::kAvx512})
              .ToString()});
   }
   std::printf("Candidate-generator initial nodes (two-stage model):\n%s\n",
@@ -75,53 +73,35 @@ int Main(int argc, char** argv) {
   TextTable table;
   table.AddRow({"Operator", "grid size", "Eq.2 space", "nodes tested",
                 "tested (%)", "optimum", "best (ms/1M elems)"});
-  struct Tuned {
-    const char* name;
-    TuneResult result;
-    std::size_t grid;
-    std::uint64_t eq2;
-  };
-  const std::vector<Tuned> rows = {
-      {"murmur", TuneMurmur(topt), MurmurSupportedConfigs().size(),
-       SearchSpaceSize(2, 4, 4)},
-      {"crc64", TuneCrc64(topt), Crc64SupportedConfigs().size(),
-       SearchSpaceSize(8, 3, 3)},
-      {"probe", TuneProbe(topt), ProbeSupportedConfigs().size(),
-       SearchSpaceSize(2, 4, 3)},
-      {"gather", TuneGather(topt), GatherSupportedConfigs().size(),
-       SearchSpaceSize(2, 4, 3)},
-      {"bloom", TuneBloomProbe(topt), BloomProbeSupportedConfigs().size(),
-       SearchSpaceSize(4, 4, 3)},
-      {"sum", TuneSumReduce(topt), ReduceSupportedConfigs().size(),
-       SearchSpaceSize(2, 4, 4)},
-  };
   telemetry::BenchReport report("tuner_search");
   report.SetConfig("elements",
                    static_cast<std::int64_t>(topt.elements));
   report.SetConfig("repetitions", topt.repetitions);
-  for (const Tuned& row : rows) {
-    const double pct = 100.0 * row.result.nodes_tested /
-                       static_cast<double>(row.grid);
+  for (const KernelEntry* k : kernels) {
+    const TuneResult result = TuneKernel(*k, topt);
+    // Eq. 2 over the bounds the compiled grid spans.
+    const HybridConfig bounds = GridBounds(k->grid);
+    const std::uint64_t eq2 = SearchSpaceSize(bounds.v, bounds.s, bounds.p);
+    const std::size_t grid = k->grid.size();
+    const double pct =
+        100.0 * result.nodes_tested / static_cast<double>(grid);
     const double ms_per_m =
-        row.result.best_time * 1e3 / (static_cast<double>(topt.elements) / 1e6);
-    table.AddRow({row.name, std::to_string(row.grid),
-                  std::to_string(row.eq2),
-                  std::to_string(row.result.nodes_tested),
-                  TextTable::Num(pct, 0) + "%",
-                  row.result.best.ToString(),
+        result.best_time * 1e3 / (static_cast<double>(topt.elements) / 1e6);
+    table.AddRow({k->name, std::to_string(grid), std::to_string(eq2),
+                  std::to_string(result.nodes_tested),
+                  TextTable::Num(pct, 0) + "%", result.best.ToString(),
                   TextTable::Num(ms_per_m, 3)});
     report.AddResult()
-        .Set("operator", row.name)
-        .Set("grid_size", static_cast<std::uint64_t>(row.grid))
-        .Set("eq2_space", row.eq2)
-        .Set("nodes_tested", static_cast<std::int64_t>(row.result.nodes_tested))
-        .Set("nodes_pruned", static_cast<std::int64_t>(row.result.nodes_pruned))
+        .Set("operator", k->name)
+        .Set("grid_size", static_cast<std::uint64_t>(grid))
+        .Set("eq2_space", eq2)
+        .Set("nodes_tested", static_cast<std::int64_t>(result.nodes_tested))
+        .Set("nodes_pruned", static_cast<std::int64_t>(result.nodes_pruned))
         .Set("tested_pct", pct)
-        .Set("optimum", row.result.best.ToString())
+        .Set("optimum", result.best.ToString())
         .Set("ms_per_million", ms_per_m);
     // The full winner/loser expansion tree of Algorithm 2, per operator.
-    report.AddSection(std::string(row.name) + "_tune_trace",
-                      TuneTraceToJson(row.result));
+    report.AddSection(k->name + "_tune_trace", TuneTraceToJson(result));
   }
   std::printf("Pruning search vs exhaustive (host measurements):\n%s\n",
               table.ToString().c_str());

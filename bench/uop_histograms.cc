@@ -23,7 +23,6 @@
 #include "common/text_table.h"
 #include "perf/uops_counters.h"
 #include "portmodel/port_model.h"
-#include "tuner/kernel_tuners.h"
 
 namespace hef {
 namespace {

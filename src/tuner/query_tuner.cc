@@ -7,8 +7,7 @@
 #include "common/stopwatch.h"
 #include "procinfo/cpu_features.h"
 #include "engine/engine.h"
-#include "table/probe.h"
-#include "tuner/kernel_tuners.h"
+#include "tuner/kernel_table.h"
 
 namespace hef {
 
@@ -16,7 +15,8 @@ QueryTuneResult TuneQueriesProbe(const ssb::SsbDatabase& db,
                                  const std::vector<QueryId>& queries,
                                  const QueryTuneOptions& options) {
   HEF_CHECK_MSG(!queries.empty(), "no test queries given");
-  const auto& grid = ProbeSupportedConfigs();
+  const KernelEntry& probe = FindKernel("probe");
+  const std::vector<HybridConfig>& grid = probe.grid;
   auto supported = [&grid](const HybridConfig& cfg) {
     return std::find(grid.begin(), grid.end(), cfg) != grid.end();
   };
@@ -58,7 +58,7 @@ QueryTuneResult TuneQueriesProbe(const ssb::SsbDatabase& db,
   tune.watchdog_seconds = options.watchdog_seconds;
   if (options.static_pressure_check) {
     tune.static_check = analysis::MakePressureCheck(
-        kProbePipelineLiveValues, kProbePipelineConstants,
+        probe.pressure->live_values, probe.pressure->constants,
         CpuFeatures::Get().BestIsa());
   }
   TuneResult r = Tune(initial, measure, tune);

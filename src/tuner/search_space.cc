@@ -1,5 +1,7 @@
 #include "tuner/search_space.h"
 
+#include <algorithm>
+
 #include "common/macros.h"
 
 namespace hef {
@@ -21,6 +23,16 @@ std::vector<HybridConfig> EnumerateSearchSpace(int v, int s, int p) {
     }
   }
   return space;
+}
+
+HybridConfig GridBounds(const std::vector<HybridConfig>& grid) {
+  HybridConfig bounds{0, 0, 1};
+  for (const HybridConfig& c : grid) {
+    bounds.v = std::max(bounds.v, c.v);
+    bounds.s = std::max(bounds.s, c.s);
+    bounds.p = std::max(bounds.p, c.p);
+  }
+  return bounds;
 }
 
 }  // namespace hef

@@ -25,6 +25,10 @@ std::uint64_t SearchSpaceSize(int v, int s, int p);
 // SLP transformation). Size = (v+1)*(s+1)*p - p.
 std::vector<HybridConfig> EnumerateSearchSpace(int v, int s, int p);
 
+// The per-axis maxima (v, s, p) of a compiled grid, p at least 1: the
+// bounds of the smallest EnumerateSearchSpace box that contains it.
+HybridConfig GridBounds(const std::vector<HybridConfig>& grid);
+
 }  // namespace hef
 
 #endif  // HEF_TUNER_SEARCH_SPACE_H_

@@ -1,13 +1,30 @@
 #include "tuner/tuning_cache.h"
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 
 #include "procinfo/cpu_features.h"
 #include "telemetry/flight_recorder.h"
+#include "telemetry/metrics.h"
 
 namespace hef {
+
+namespace {
+
+// A cost column: a whole finite, non-negative number. strtod also reads
+// "inf", "nan" and overflows to inf; all three are rejected.
+bool ParseCost(const std::string& text, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(text.c_str(), &end);
+  return end != text.c_str() && *end == '\0' && std::isfinite(*out) &&
+         *out >= 0;
+}
+
+}  // namespace
 
 TuningCache::TuningCache(std::string path) : path_(std::move(path)) {}
 
@@ -39,14 +56,20 @@ Status TuningCache::Load() {
     ++line_no;
     if (line.empty()) continue;
     std::istringstream in(line);
-    std::string keyword, op, cfg_text;
-    double seconds = 0;
-    if (!(in >> keyword >> op >> cfg_text >> seconds) || keyword != "op") {
+    std::string keyword, op, cfg_text, seconds_text, ns_text;
+    if (!(in >> keyword >> op >> cfg_text >> seconds_text) ||
+        keyword != "op") {
       return Status::IoError("malformed tuning cache line " +
                              std::to_string(line_no) + " in " + path_);
     }
-    double ns_per_row = 0;
-    if (!(in >> ns_per_row)) ns_per_row = 0;  // pre-drift caches: 3 columns
+    in >> ns_text;  // absent in pre-drift caches: 3 columns
+    double seconds = 0, ns_per_row = 0;
+    if (!ParseCost(seconds_text, &seconds) ||
+        (!ns_text.empty() && !ParseCost(ns_text, &ns_per_row))) {
+      return Status::IoError("bad cost on tuning cache line " +
+                             std::to_string(line_no) + " in " + path_ +
+                             " (must be finite and >= 0)");
+    }
     auto cfg = HybridConfig::Parse(cfg_text);
     if (!cfg.ok()) {
       return Status::IoError("bad config on line " +
@@ -67,17 +90,14 @@ Status TuningCache::Save() const {
     }
     file << "hef-tuning-cache v1\n";
     file << "host " << HostTag() << "\n";
+    file << std::fixed;
     for (const auto& [op, entry] : entries_) {
-      char buf[192];
+      file << "op " << op << ' ' << entry.config.ToString() << ' '
+           << std::setprecision(9) << entry.seconds;
       if (entry.ns_per_row > 0) {
-        std::snprintf(buf, sizeof(buf), "op %s %s %.9f %.6f\n", op.c_str(),
-                      entry.config.ToString().c_str(), entry.seconds,
-                      entry.ns_per_row);
-      } else {
-        std::snprintf(buf, sizeof(buf), "op %s %s %.9f\n", op.c_str(),
-                      entry.config.ToString().c_str(), entry.seconds);
+        file << ' ' << std::setprecision(6) << entry.ns_per_row;
       }
-      file << buf;
+      file << '\n';
     }
     if (!file.good()) {
       return Status::IoError("write failed for " + tmp);
@@ -116,6 +136,14 @@ void TuningCache::Put(const std::string& op, const HybridConfig& config,
       telemetry::FlightEventKind::kTunerRetune, op.c_str(), /*trace_id=*/0,
       packed, static_cast<std::uint64_t>(seconds * 1e9));
   entries_[op] = Entry{config, seconds, ns_per_row};
+}
+
+void WarnTuningCache(const char* action, const Status& status) {
+  if (status.ok()) return;
+  std::fprintf(stderr, "warning: tuning cache %s failed: %s\n", action,
+               status.ToString().c_str());
+  telemetry::MetricsRegistry::Get().counter("tuner.cache_errors")
+      .Increment();
 }
 
 }  // namespace hef

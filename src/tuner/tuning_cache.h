@@ -43,7 +43,8 @@ class TuningCache {
 
   // Loads the cache file. A missing file yields an empty cache (OK); a
   // file recorded on a different host yields an empty cache and sets
-  // host_mismatch(). Malformed files are IoError.
+  // host_mismatch(). Malformed files — including a negative or
+  // non-finite seconds / ns_per_row — are IoError.
   Status Load();
 
   // Writes all entries atomically (temp file + rename).
@@ -67,6 +68,11 @@ class TuningCache {
   std::map<std::string, Entry> entries_;
   bool host_mismatch_ = false;
 };
+
+// A tuning cache that fails to load, save or apply is an inconvenience,
+// not a fatal error: callers proceed (untuned defaults / unsaved results)
+// but warn on stderr and count it in tuner.cache_errors. No-op on OK.
+void WarnTuningCache(const char* action, const Status& status);
 
 }  // namespace hef
 

@@ -9,11 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "engine/engine.h"
 #include "engine/reference.h"
 #include "ssb/database.h"
-#include "tuner/kernel_tuners.h"
+#include "tuner/kernel_table.h"
 #include "tuner/tuning_cache.h"
 #include "voila/voila_engine.h"
 
@@ -60,39 +61,77 @@ TEST(EngineFuzzTest, OddBlockSizesNeverChangeResults) {
   }
 }
 
+// Runs the tuning-cache loader on `path` and returns what it printed.
+std::string ApplyCache(const std::string& path, EngineConfig* config) {
+  std::FILE* out = std::tmpfile();
+  ApplyTuningCache(path, config, out);
+  std::rewind(out);
+  std::string printed;
+  for (int c; (c = std::fgetc(out)) != EOF;) printed += static_cast<char>(c);
+  std::fclose(out);
+  return printed;
+}
+
 TEST(WorkflowTest, TuneCacheConfigureRunEndToEnd) {
-  // Offline phase: tune the probe and gather kernels, persist the result.
+  // Offline phase: tune the kernels the engine reads, persist the result.
   const std::string cache_path =
       ::testing::TempDir() + "/hef_workflow_cache.txt";
   std::remove(cache_path.c_str());
+  HybridConfig probe, gather;
   {
     KernelTuneOptions options;
     options.elements = 1 << 12;
     options.repetitions = 2;
-    const TuneResult probe = TuneProbe(options);
-    const TuneResult gather = TuneGather(options);
     TuningCache cache(cache_path);
-    cache.Put("probe", probe.best, probe.best_time);
-    cache.Put("gather", gather.best, gather.best_time);
+    for (const auto& [entry, result] : TuneEnginePoints(options, &cache)) {
+      (entry->name == "probe" ? probe : gather) = result.best;
+    }
     ASSERT_TRUE(cache.Save().ok());
   }
 
-  // Online phase: a fresh process would load the cache and configure the
+  // Online phase: a fresh process loads the cache and configures the
   // engine "without further training" (paper §III-A).
-  TuningCache cache(cache_path);
-  ASSERT_TRUE(cache.Load().ok());
-  ASSERT_TRUE(cache.Contains("probe"));
-  ASSERT_TRUE(cache.Contains("gather"));
-
   EngineConfig config;
   config.flavor = Flavor::kHybrid;
-  config.probe_cfg = cache.Get("probe").value().config;
-  config.gather_cfg = cache.Get("gather").value().config;
+  EXPECT_EQ(ApplyCache(cache_path, &config),
+            "using cached tuning: probe " + probe.ToString() + ", gather " +
+                gather.ToString() + "\n");
+  EXPECT_EQ(config.probe_cfg, probe);
+  EXPECT_EQ(config.gather_cfg, gather);
 
   const ssb::SsbDatabase db = ssb::SsbDatabase::Generate(0.01, 99);
   SsbEngine engine(db, config);
   for (const QueryId query :
        {QueryId::kQ2_1, QueryId::kQ3_3, QueryId::kQ4_2}) {
+    EXPECT_EQ(engine.Run(query), RunReferenceQuery(db, query))
+        << QueryName(query);
+  }
+  std::remove(cache_path.c_str());
+}
+
+TEST(WorkflowTest, OutOfGridCachedPointKeepsTheDefault) {
+  // A hand-edited (or foreign-build) cache must not abort the engine on
+  // a point outside the compiled grid: the loader rejects that point and
+  // applies the valid one.
+  const std::string cache_path =
+      ::testing::TempDir() + "/hef_out_of_grid_cache.txt";
+  {
+    TuningCache cache(cache_path);
+    cache.Put("probe", HybridConfig{9, 9, 9}, 1e-3, 5.0);
+    cache.Put("gather", HybridConfig{2, 0, 1}, 1e-3, 0.5);
+    ASSERT_TRUE(cache.Save().ok());
+  }
+  EngineConfig config;
+  config.flavor = Flavor::kHybrid;
+  const HybridConfig default_probe = config.probe_cfg;
+  EXPECT_EQ(ApplyCache(cache_path, &config),
+            "using cached tuning: gather v2s0p1\n");
+  EXPECT_EQ(config.probe_cfg, default_probe);
+  EXPECT_EQ(config.gather_cfg, (HybridConfig{2, 0, 1}));
+
+  const ssb::SsbDatabase db = ssb::SsbDatabase::Generate(0.01, 99);
+  SsbEngine engine(db, config);
+  for (const QueryId query : AllQueries()) {
     EXPECT_EQ(engine.Run(query), RunReferenceQuery(db, query))
         << QueryName(query);
   }

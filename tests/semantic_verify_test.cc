@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
@@ -20,8 +21,9 @@
 #include "codegen/operator_template.h"
 #include "codegen/translator.h"
 #include "storage/decode_templates.h"
-#include "tuner/kernel_registry.h"
+#include "tuner/kernel_table.h"
 #include "tuner/optimizer.h"
+#include "tuner/tuning_cache.h"
 #include "tuner/tune_trace.h"
 
 namespace hef {
@@ -168,21 +170,22 @@ TEST(SymbolicEquivalence, NormalizerProvesCommutedAndFoldedForms) {
 }
 
 // ---------------------------------------------------------------------------
-// The acceptance sweep: every registered kernel proves across its full
-// compiled grid (murmur, crc64, mix64, the three storage decode
-// templates, and all 13 SSB query kernels).
+// The acceptance sweep: every proof target of the kernel table proves
+// across its full compiled grid (murmur, crc64, mix64, the three storage
+// decode templates, and all 13 SSB query aliases).
 
 TEST(KernelProver, EveryRegisteredKernelProvesAcrossItsFullGrid) {
   std::set<std::string> seen_kernels;
-  // Identical (template, config) pairs repeat across SSB entries; prove
-  // each once and assert the verdict for every registry row.
+  // Identical (template, config) pairs repeat across SSB aliases; prove
+  // each once and assert the verdict for every target.
   std::map<std::pair<std::string, HybridConfig>, bool> memo;
   int proofs = 0;
-  for (const ProvableKernel& kernel : ProvableKernels()) {
-    seen_kernels.insert(kernel.name);
+  for (const ProofTarget& target : ProofTargets()) {
+    seen_kernels.insert(target.name);
+    const KernelEntry& kernel = *target.entry;
     const OperatorTemplate op =
         OperatorTemplate::Parse(kernel.template_text).value();
-    ASSERT_FALSE(kernel.grid.empty()) << kernel.name;
+    ASSERT_FALSE(kernel.grid.empty()) << target.name;
     for (const HybridConfig& cfg : kernel.grid) {
       auto key = std::make_pair(kernel.template_text, cfg);
       auto it = memo.find(key);
@@ -194,24 +197,70 @@ TEST(KernelProver, EveryRegisteredKernelProvesAcrossItsFullGrid) {
         ++proofs;
         it = memo.emplace(key, proof.proven()).first;
         EXPECT_TRUE(proof.proven())
-            << kernel.name << " at " << cfg.ToString() << ": "
+            << target.name << " at " << cfg.ToString() << ": "
             << (proof.diagnostics.empty()
                     ? proof.translate_error
                     : proof.diagnostics.front().ToString());
       }
-      EXPECT_TRUE(it->second) << kernel.name << " at " << cfg.ToString();
+      EXPECT_TRUE(it->second) << target.name << " at " << cfg.ToString();
     }
   }
-  // Registry completeness: the shipped kernels plus one entry per SSB
-  // query.
-  for (const char* required :
-       {"murmur", "crc64", "mix64", "unpack_bits", "for_add", "dict_gather",
-        "ssb_q1.1", "ssb_q1.2", "ssb_q1.3", "ssb_q2.1", "ssb_q2.2",
-        "ssb_q2.3", "ssb_q3.1", "ssb_q3.2", "ssb_q3.3", "ssb_q3.4",
-        "ssb_q4.1", "ssb_q4.2", "ssb_q4.3"}) {
-    EXPECT_EQ(seen_kernels.count(required), 1u) << required;
-  }
+  // Completeness: the shipped kernels plus one alias per SSB query, and
+  // nothing else.
+  EXPECT_EQ(seen_kernels,
+            (std::set<std::string>{
+                "murmur", "crc64", "mix64", "unpack_bits", "for_add",
+                "dict_gather", "ssb_q1.1", "ssb_q1.2", "ssb_q1.3",
+                "ssb_q2.1", "ssb_q2.2", "ssb_q2.3", "ssb_q3.1", "ssb_q3.2",
+                "ssb_q3.3", "ssb_q3.4", "ssb_q4.1", "ssb_q4.2",
+                "ssb_q4.3"}));
   EXPECT_GT(proofs, 0);
+}
+
+TEST(KernelTable, SsbAliasesNameTableEntries) {
+  const std::vector<KernelEntry>& table = KernelTable();
+  int aliases = 0;
+  for (const ProofTarget& target : ProofTargets()) {
+    if (target.name.rfind("ssb_q", 0) != 0) continue;
+    ++aliases;
+    ASSERT_NE(target.entry, nullptr) << target.name;
+    // The alias points into the table itself, not at a copy.
+    EXPECT_TRUE(std::any_of(table.begin(), table.end(),
+                            [&](const KernelEntry& e) {
+                              return &e == target.entry;
+                            }))
+        << target.name;
+    const bool scan_bound = target.name.rfind("ssb_q1", 0) == 0;
+    EXPECT_EQ(target.entry->name, scan_bound ? "for_add" : "probe")
+        << target.name;
+  }
+  EXPECT_EQ(aliases, 13);
+}
+
+TEST(KernelTable, TunePersistsExactlyTheEngineFields) {
+  // What `hef tune` persists is what the engine reads back: the entries
+  // with an engine field, and nothing else.
+  const std::string path =
+      ::testing::TempDir() + "/hef_engine_points_cache.txt";
+  KernelTuneOptions options;
+  options.elements = 1 << 10;
+  options.repetitions = 1;
+  {
+    TuningCache cache(path);
+    TuneEnginePoints(options, &cache);
+    ASSERT_TRUE(cache.Save().ok());
+  }
+  TuningCache saved(path);
+  ASSERT_TRUE(saved.Load().ok());
+  std::set<std::string> engine_fields;
+  for (const KernelEntry& entry : KernelTable()) {
+    EXPECT_EQ(saved.Contains(entry.name), entry.engine_field != nullptr)
+        << entry.name;
+    if (entry.engine_field != nullptr) engine_fields.insert(entry.name);
+  }
+  EXPECT_EQ(saved.size(), engine_fields.size());
+  EXPECT_EQ(engine_fields, (std::set<std::string>{"probe", "gather"}));
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

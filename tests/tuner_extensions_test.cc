@@ -5,11 +5,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "analysis/register_pressure.h"
 #include "procinfo/cpu_features.h"
 #include "ssb/database.h"
-#include "tuner/kernel_tuners.h"
+#include "tuner/kernel_table.h"
 #include "tuner/query_tuner.h"
 #include "tuner/search_space.h"
 #include "tuner/tuning_cache.h"
@@ -20,7 +21,10 @@ namespace {
 class TuningCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/hef_tuning_cache_test.txt";
+    // One file per test: ctest runs the cases as parallel processes.
+    path_ = ::testing::TempDir() + "/hef_tuning_cache_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".txt";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }
@@ -124,6 +128,42 @@ TEST_F(TuningCacheTest, MalformedEntryIsError) {
   EXPECT_FALSE(cache.Load().ok());
 }
 
+TEST_F(TuningCacheTest, HugeCostSavesWholeLinesThatLoadBack) {
+  // A repetitions=0 search reports the measurement sentinel DBL_MAX; its
+  // %.9f rendering is over 300 characters and must not cut the line.
+  const double huge = std::numeric_limits<double>::max();
+  TuningCache cache(path_);
+  cache.Put("probe", HybridConfig{2, 1, 3}, huge, 6.25);
+  cache.Put("gather", HybridConfig{1, 2, 2}, 0.01, huge);
+  ASSERT_TRUE(cache.Save().ok());
+
+  TuningCache loaded(path_);
+  ASSERT_TRUE(loaded.Load().ok());
+  EXPECT_EQ(loaded.size(), 2u);
+  EXPECT_EQ(loaded.Get("probe").value().seconds, huge);
+  EXPECT_NEAR(loaded.Get("probe").value().ns_per_row, 6.25, 1e-9);
+  EXPECT_EQ(loaded.Get("gather").value().config, (HybridConfig{1, 2, 2}));
+  EXPECT_EQ(loaded.Get("gather").value().ns_per_row, huge);
+}
+
+TEST_F(TuningCacheTest, NonFiniteOrNegativeCostIsError) {
+  for (const char* line :
+       {"op probe v1s1p3 inf 1.0\n", "op probe v1s1p3 nan\n",
+        "op probe v1s1p3 -0.5 1.0\n", "op probe v1s1p3 1e999\n",
+        "op probe v1s1p3 0.001 inf\n", "op probe v1s1p3 0.001 -nan\n",
+        "op probe v1s1p3 0.001 -2\n", "op probe v1s1p3 0.001 1e400\n",
+        "op probe v1s1p3 0.001 3x\n"}) {
+    TuningCache writer(path_);
+    ASSERT_TRUE(writer.Save().ok());  // valid header, no entries
+    FILE* f = std::fopen(path_.c_str(), "a");
+    std::fputs(line, f);
+    std::fclose(f);
+    TuningCache cache(path_);
+    const Status st = cache.Load();
+    EXPECT_EQ(st.code(), StatusCode::kIoError) << line;
+  }
+}
+
 double ConvexCost(const HybridConfig& cfg) {
   const double dv = cfg.v - 1.0;
   const double ds = cfg.s - 2.0;
@@ -180,11 +220,12 @@ TEST(QueryTunerTest, StaticPressureRejectsCandidatesBeforeMeasurement) {
   const QueryTuneResult r = TuneQueryProbe(db, QueryId::kQ2_1, options);
   EXPECT_GT(r.search.nodes_rejected_static, 0);
   const Isa isa = CpuFeatures::Get().BestIsa();
+  const PressureProfile probe = *FindKernel("probe").pressure;
   for (const TuneStep& step : r.search.trace) {
     if (!step.rejected_static) continue;
-    EXPECT_FALSE(analysis::EstimatePressure(kProbePipelineLiveValues,
-                                            kProbePipelineConstants,
-                                            step.config, isa)
+    EXPECT_FALSE(analysis::EstimatePressure(probe.live_values,
+                                            probe.constants, step.config,
+                                            isa)
                      .fits())
         << step.config.ToString();
     // Never measured: a rejected node must not appear in the history.
@@ -196,9 +237,8 @@ TEST(QueryTunerTest, StaticPressureRejectsCandidatesBeforeMeasurement) {
   // Everything that *was* measured fits the register file (the root is
   // exempt by contract, but this root fits anyway).
   for (const auto& [cfg, t] : r.search.history) {
-    EXPECT_TRUE(analysis::EstimatePressure(kProbePipelineLiveValues,
-                                           kProbePipelineConstants, cfg,
-                                           isa)
+    EXPECT_TRUE(analysis::EstimatePressure(probe.live_values,
+                                           probe.constants, cfg, isa)
                     .fits())
         << cfg.ToString();
     (void)t;

@@ -13,7 +13,7 @@
 
 #include "algo/murmur.h"
 #include "tuner/candidate_generator.h"
-#include "tuner/kernel_tuners.h"
+#include "tuner/kernel_table.h"
 #include "tuner/optimizer.h"
 #include "tuner/search_space.h"
 #include "tuner/tune_trace.h"
@@ -46,6 +46,8 @@ TEST(SearchSpaceTest, EnumerationMatchesGrid) {
   for (const auto& cfg : space) {
     EXPECT_TRUE(cfg.valid());
   }
+  EXPECT_EQ(GridBounds(space), (HybridConfig{2, 3, 4}));
+  EXPECT_EQ(GridBounds({}), (HybridConfig{0, 0, 1}));
 }
 
 TEST(CandidateGeneratorTest, Silver4110MurmurSeed) {
@@ -455,12 +457,11 @@ TEST(KernelTunersTest, AllKernelTunersProduceValidOptima) {
   options.elements = 1 << 11;
   options.repetitions = 2;
   options.probe_table_keys = 1 << 9;
-  for (const TuneResult& r :
-       {TuneCrc64(options), TuneProbe(options), TuneGather(options),
-        TuneBloomProbe(options), TuneSumReduce(options)}) {
-    EXPECT_TRUE(r.best.valid());
-    EXPECT_GT(r.best_time, 0.0);
-    EXPECT_GE(r.nodes_tested, 1);
+  for (const char* name : {"crc64", "probe", "gather", "bloom", "sum"}) {
+    const TuneResult r = TuneKernel(FindKernel(name), options);
+    EXPECT_TRUE(r.best.valid()) << name;
+    EXPECT_GT(r.best_time, 0.0) << name;
+    EXPECT_GE(r.nodes_tested, 1) << name;
   }
 }
 
@@ -468,7 +469,7 @@ TEST(KernelTunersTest, MurmurTuneProducesValidOptimum) {
   KernelTuneOptions options;
   options.elements = 1 << 12;
   options.repetitions = 3;
-  const TuneResult r = TuneMurmur(options);
+  const TuneResult r = TuneKernel(FindKernel("murmur"), options);
   EXPECT_TRUE(r.best.valid());
   EXPECT_GT(r.best_time, 0.0);
   EXPECT_GE(r.nodes_tested, 1);
@@ -477,6 +478,31 @@ TEST(KernelTunersTest, MurmurTuneProducesValidOptimum) {
   for (const auto& [cfg, t] : r.history) {
     EXPECT_LE(r.best_time, t) << cfg.ToString();
   }
+}
+
+TEST(KernelTableTest, EveryWorkloadTunesToAnInGridOptimum) {
+  KernelTuneOptions options;
+  options.elements = 1 << 11;
+  options.repetitions = 2;
+  options.probe_table_keys = 1 << 9;
+  int tuned = 0;
+  for (const KernelEntry& entry : KernelTable()) {
+    if (entry.workload == nullptr) continue;
+    ++tuned;
+    const TuneResult r = TuneKernel(entry, options);
+    EXPECT_NE(std::find(entry.grid.begin(), entry.grid.end(), r.best),
+              entry.grid.end())
+        << entry.name << " picked " << r.best.ToString();
+    EXPECT_TRUE(std::isfinite(r.best_time)) << entry.name;
+    EXPECT_GT(r.best_time, 0.0) << entry.name;
+    EXPECT_GE(r.nodes_tested, 1) << entry.name;
+    // The tuned point never loses to a node the search measured.
+    for (const auto& [cfg, t] : r.history) {
+      EXPECT_LE(r.best_time, t) << entry.name << " vs " << cfg.ToString();
+    }
+  }
+  // murmur, crc64, probe, gather, bloom, sum and the three decode kernels.
+  EXPECT_EQ(tuned, 9);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // hef — command-line front door to the framework.
 //
 //   hef info                          host CPU, processor model, ports
-//   hef tune [--cache=PATH]           tune all built-in kernels, persist
+//   hef tune [--cache=PATH]           tune the kernels the engine reads
+//                                     (probe, gather), persist
 //   hef query --query=2.1 --sf=0.1    run an SSB query (all engines)
 //   hef sql --query=2.1               print the query's SQL
 //   hef generate --config=v1s3p2      print translator output
@@ -62,47 +63,14 @@
 #include "telemetry/metrics.h"
 #include "telemetry/metrics_http.h"
 #include "telemetry/profiler.h"
-#include "tuner/kernel_registry.h"
 #include "telemetry/span.h"
-#include "tuner/kernel_tuners.h"
+#include "tuner/kernel_table.h"
 #include "tuner/tune_trace.h"
 #include "tuner/tuning_cache.h"
 #include "voila/voila_engine.h"
 
 namespace hef {
 namespace {
-
-// A tuning cache that fails to load or save is an inconvenience, not a
-// fatal error — the CLI proceeds (untuned defaults / unsaved results) but
-// says so and counts it, instead of silently swallowing the status.
-void WarnCacheError(const char* action, const Status& status) {
-  if (status.ok()) return;
-  std::fprintf(stderr, "warning: tuning cache %s failed: %s\n", action,
-               status.ToString().c_str());
-  telemetry::MetricsRegistry::Get().counter("tuner.cache_errors")
-      .Increment();
-}
-
-// Loads the tuning cache at `path` and, when it holds both a probe and a
-// gather point, configures `engine` with them, registers their predicted
-// costs as the drift sentinel's references (so per-operator windows get
-// residuals) and says so on `out`.
-void ApplyCachedTuning(const std::string& path, EngineConfig* engine,
-                       std::FILE* out) {
-  TuningCache cache(path);
-  WarnCacheError("load", cache.Load());
-  if (!cache.Contains("probe") || !cache.Contains("gather")) return;
-  const TuningCache::Entry probe = cache.Get("probe").value();
-  const TuningCache::Entry gather = cache.Get("gather").value();
-  engine->probe_cfg = probe.config;
-  engine->gather_cfg = gather.config;
-  DriftMonitor& drift = DriftMonitor::Get();
-  drift.SetPrediction("probe", probe.config.ToString(), probe.ns_per_row);
-  drift.SetPrediction("gather", gather.config.ToString(), gather.ns_per_row);
-  std::fprintf(out, "using cached tuning: probe %s, gather %s\n",
-               engine->probe_cfg.ToString().c_str(),
-               engine->gather_cfg.ToString().c_str());
-}
 
 int CmdInfo(int argc, char** argv) {
   FlagParser flags;
@@ -146,37 +114,26 @@ int CmdTune(int argc, char** argv) {
     flags.PrintUsage("hef tune");
     return flags.HelpRequested() ? 0 : 1;
   }
+  if (flags.GetInt64("elements") < 1 || flags.GetInt64("repetitions") < 1) {
+    std::fprintf(stderr, "--elements and --repetitions must be >= 1\n");
+    return 1;
+  }
   KernelTuneOptions options;
   options.elements = static_cast<std::size_t>(flags.GetInt64("elements"));
   options.repetitions = static_cast<int>(flags.GetInt64("repetitions"));
 
   TuningCache cache(flags.GetString("cache"));
-  WarnCacheError("load", cache.Load());
-
-  struct Row {
-    const char* name;
-    TuneResult result;
-  };
-  const Row rows[] = {
-      {"murmur", TuneMurmur(options)},
-      {"crc64", TuneCrc64(options)},
-      {"probe", TuneProbe(options)},
-      {"gather", TuneGather(options)},
-      {"unpack_bits", TuneUnpackBits(options)},
-      {"for_add", TuneForAdd(options)},
-      {"dict_gather", TuneDictGather(options)},
-  };
+  WarnTuningCache("load", cache.Load());
+  const auto rows = TuneEnginePoints(options, &cache);
   TextTable table;
   table.AddRow({"operator", "optimum", "nodes tested", "best (ms)"});
-  for (const Row& row : rows) {
-    cache.Put(row.name, row.result.best, row.result.best_time,
-              row.result.ns_per_element);
-    table.AddRow({row.name, row.result.best.ToString(),
-                  std::to_string(row.result.nodes_tested),
-                  TextTable::Num(row.result.best_time * 1e3, 3)});
+  for (const auto& [entry, result] : rows) {
+    table.AddRow({entry->name, result.best.ToString(),
+                  std::to_string(result.nodes_tested),
+                  TextTable::Num(result.best_time * 1e3, 3)});
   }
   const Status st = cache.Save();
-  WarnCacheError("save", st);
+  WarnTuningCache("save", st);
   std::printf("%s\n%s %s\n", table.ToString().c_str(),
               st.ok() ? "saved to" : "NOT saved to",
               cache.path().c_str());
@@ -187,17 +144,17 @@ int CmdTune(int argc, char** argv) {
     report.SetConfig("elements",
                      static_cast<std::int64_t>(options.elements));
     report.SetConfig("repetitions", options.repetitions);
-    for (const Row& row : rows) {
+    for (const auto& [entry, result] : rows) {
       report.AddResult()
-          .Set("operator", row.name)
-          .Set("optimum", row.result.best.ToString())
-          .Set("nodes_tested", static_cast<std::int64_t>(
-                                   row.result.nodes_tested))
-          .Set("nodes_pruned", static_cast<std::int64_t>(
-                                   row.result.nodes_pruned))
-          .Set("best_ms", row.result.best_time * 1e3);
-      report.AddSection(std::string(row.name) + "_tune_trace",
-                        TuneTraceToJson(row.result));
+          .Set("operator", entry->name)
+          .Set("optimum", result.best.ToString())
+          .Set("nodes_tested",
+               static_cast<std::int64_t>(result.nodes_tested))
+          .Set("nodes_pruned",
+               static_cast<std::int64_t>(result.nodes_pruned))
+          .Set("best_ms", result.best_time * 1e3);
+      report.AddSection(entry->name + "_tune_trace",
+                        TuneTraceToJson(result));
     }
     report.IncludeMetrics();
     const Status ws = report.WriteFile(json_path);
@@ -286,7 +243,7 @@ int CmdQuery(int argc, char** argv) {
 
   EngineConfig hybrid_cfg;
   hybrid_cfg.flavor = Flavor::kHybrid;
-  ApplyCachedTuning(flags.GetString("cache"), &hybrid_cfg, stdout);
+  ApplyTuningCache(flags.GetString("cache"), &hybrid_cfg, stdout);
 
   telemetry::BenchReport report("hef_query");
   report.SetConfig("query", QueryName(query.value()));
@@ -555,8 +512,8 @@ int CmdGenerate(int argc, char** argv) {
 // distance >= pack width, §IV-B) and sized against the register file.
 // With --prove, each template is put through the full proof stack
 // (structural -> value ranges -> symbolic equivalence, docs/analysis.md)
-// at every grid configuration; without files the provable-kernel registry
-// supplies the templates and grids, so a bare `hef lint --prove`
+// at every grid configuration; without files the kernel table's proof
+// targets supply the templates and grids, so a bare `hef lint --prove`
 // certifies every kernel the system ships. Unproven configurations count
 // as errors and fail the exit code.
 int CmdLint(int argc, char** argv) {
@@ -573,8 +530,8 @@ int CmdLint(int argc, char** argv) {
                 "this host's CPU");
   flags.AddBool("prove", false,
                 "run the semantic proof stack (HID013-HID018) over every "
-                "grid configuration; with no files, certify the whole "
-                "provable-kernel registry");
+                "grid configuration; with no files, certify every "
+                "template in the kernel table");
   flags.AddString("json", "",
                   "write machine-readable diagnostics (hef-lint-v1) to "
                   "this path");
@@ -630,11 +587,11 @@ int CmdLint(int argc, char** argv) {
   std::vector<LintInput> inputs;
   if (flags.positional().empty()) {
     if (prove) {
-      // The registry enumerates every kernel the system ships, each with
+      // The kernel table's templates and per-query aliases, each with
       // the grid its runtime actually compiles.
-      for (const ProvableKernel& k : ProvableKernels()) {
-        inputs.push_back({"<builtin " + k.name + ">", k.template_text,
-                          k.grid});
+      for (const ProofTarget& t : ProofTargets()) {
+        inputs.push_back({"<builtin " + t.name + ">",
+                          t.entry->template_text, t.entry->grid});
       }
     } else {
       inputs.push_back({"<builtin murmur>", BuiltinMurmurTemplate(),
@@ -921,7 +878,7 @@ int CmdServe(int argc, char** argv) {
   // their predicted costs become the drift sentinel's references — a
   // serve process then reports residuals on /driftz exactly like the
   // bench harnesses.
-  ApplyCachedTuning(flags.GetString("cache"), &config.engine, stderr);
+  ApplyTuningCache(flags.GetString("cache"), &config.engine, stderr);
   config.http_workers = static_cast<int>(flags.GetInt64("http_workers"));
   if (config.http_workers <= 0) {
     // A worker blocks for the whole admitted lifetime of its request, so
