@@ -63,13 +63,11 @@ struct SsbEngine::Impl {
   // Buffers for the single-threaded path, built once per engine.
   Buffers main_buffers;
 
-  // Per-plan extras beside the bound plan: the Bloom filters, and the
-  // chunk-pruning verdicts with the blocks of the alive chunks (both empty
-  // unless chunked_scan && scan_pruning). All are fixed per query, so
-  // cache hits skip building them too.
+  // Per-plan extras beside the bound plan: the chunk-pruning verdicts with
+  // the blocks of the alive chunks (both empty unless chunked_scan &&
+  // scan_pruning). They are fixed per query, so cache hits skip building
+  // them too.
   struct Extras {
-    std::vector<std::unique_ptr<BloomFilter>> blooms;
-    std::uint64_t bloom_nanos = 0;
     ChunkPruning pruning;
     std::vector<std::uint32_t> live_blocks;
   };
@@ -99,25 +97,9 @@ struct SsbEngine::Impl {
     }
   }
 
-  // Builds one Bloom filter per join stage from the dimension tables' key
-  // slabs (with bloom_prefilter) and the chunk-pruning verdicts (with
-  // chunked_scan && scan_pruning).
+  // Builds the chunk-pruning verdicts (with chunked_scan && scan_pruning).
   Extras BuildExtras(const BoundPlan& bound, QueryId id) const {
     Extras extras;
-    {
-      HEF_TRACE_SPAN("engine.bloom_build");
-      const std::uint64_t t0 = MonotonicNanos();
-      for (const JoinStage& j : bound.plan.joins) {
-        if (!config.bloom_prefilter) break;
-        auto bloom = std::make_unique<BloomFilter>(j.table->size());
-        for (std::size_t slot = 0; slot < j.table->capacity(); ++slot) {
-          const std::uint64_t key = j.table->keys()[slot];
-          if (key != kEmptyKey) bloom->Insert(key);
-        }
-        extras.blooms.push_back(std::move(bloom));
-      }
-      if (!extras.blooms.empty()) extras.bloom_nanos = MonotonicNanos() - t0;
-    }
     if (config.chunked_scan && config.scan_pruning &&
         db.chunked != nullptr) {
       HEF_TRACE_SPAN("engine.prune");
@@ -213,10 +195,8 @@ struct SsbEngine::Impl {
   // with group reads so counter deltas attribute to operators. Both off
   // on the default path, which then pays nothing beyond a branch per
   // operator per block.
-  void ExecuteBlock(const StarPlan& plan,
-                    const std::vector<std::unique_ptr<BloomFilter>>& blooms,
-                    ScanThread& t, std::size_t b0, std::size_t bn,
-                    BlockAccumulator& acc,
+  void ExecuteBlock(const StarPlan& plan, ScanThread& t, std::size_t b0,
+                    std::size_t bn, BlockAccumulator& acc,
                     telemetry::Histogram* block_rows_hist) const {
     const HybridConfig& probe_cfg = t.probe_cfg;
     const HybridConfig& gather_cfg = t.gather_cfg;
@@ -486,18 +466,18 @@ struct SsbEngine::Impl {
       }
     }
 
-    // Join probes. The Bloom pre-filter is part of its join's operator
-    // window — the stats row reports the stage's end-to-end cost.
+    // Join probes. A join's Bloom filter is part of its operator window —
+    // the stats row reports the stage's end-to-end cost.
     for (std::size_t ji = 0; ji < plan.joins.size(); ++ji) {
       const JoinStage& j = plan.joins[ji];
       if (n == 0) break;
       op_begin();
       const std::size_t in_rows = n;
       const std::uint64_t* k = fetch(*j.fact_key, keys);
-      if (!blooms.empty()) {
+      if (j.bloom != nullptr) {
         // Bloom pre-filter: discard definite misses before the (more
         // expensive, cache-hungry) hash-table probe.
-        BloomProbeArray(probe_cfg, *blooms[ji], k, bloom_out.data(), n);
+        BloomProbeArray(probe_cfg, *j.bloom, k, bloom_out.data(), n);
         const std::size_t bm = CompactInRange(flavor, bloom_out.data(),
                                               n, 1, 1, pos.data());
         if (bm != n) {
@@ -566,8 +546,7 @@ struct SsbEngine::Impl {
   // Runs a resolved plan through the shell's block dispatch. Sets
   // *rows_scanned to the fact rows the dispatched chunks hold (all rows
   // unless chunks were pruned).
-  QueryResult ExecutePlan(const Entry& entry, bool cache_hit,
-                          const exec::QueryContext* ctx,
+  QueryResult ExecutePlan(const Entry& entry, const exec::QueryContext* ctx,
                           std::uint64_t* rows_scanned) {
     const StarPlan& plan = entry.bound.plan;
     const Extras& extras = entry.extras;
@@ -601,8 +580,8 @@ struct SsbEngine::Impl {
       std::size_t b = 0;
       while (cursor.Next(&b)) {
         const std::size_t b0 = b * block;
-        ExecuteBlock(plan, extras.blooms, scan, b0,
-                     std::min(block, total - b0), acc, block_hist);
+        ExecuteBlock(plan, scan, b0, std::min(block, total - b0), acc,
+                     block_hist);
       }
       if (scan.values_decoded > 0) {
         rows_decoded.Increment(scan.values_decoded);
@@ -635,8 +614,8 @@ struct SsbEngine::Impl {
 
     // The engine's additions to the shell's operator rows: chunk-pruning
     // attribution (pruning stages align with the filter-then-join operator
-    // order), per-join selectivity gauges, the Bloom build row, query
-    // counters and the hash-table displacement histogram.
+    // order), per-join selectivity gauges, query counters and the
+    // hash-table displacement histogram.
     auto& ops = result.operator_stats;
     auto& registry = telemetry::MetricsRegistry::Get();
     const std::size_t stages = plan.filters.size() + plan.joins.size();
@@ -651,16 +630,6 @@ struct SsbEngine::Impl {
         registry.gauge("engine.selectivity." + s.name)
             .Set(s.Selectivity());
       }
-    }
-    // On a cache hit no Bloom filters were built this Run, so suppress
-    // the build.bloom stats row (its nanos belong to the Run that
-    // missed).
-    if (!cache_hit && extras.bloom_nanos > 0) {
-      OperatorStats s;
-      s.name = "build.bloom";
-      s.wall_nanos = extras.bloom_nanos;
-      s.invocations = 1;
-      ops.insert(ops.begin(), std::move(s));
     }
     registry.counter("engine.queries").Increment();
     registry.counter("engine.rows_scanned").Increment(*rows_scanned);
@@ -705,8 +674,8 @@ struct SsbEngine::Impl {
     return shell.Execute(
         id, ctx,
         [&](const BoundPlan& bound) { return BuildExtras(bound, id); },
-        [&](const Entry& entry, bool cache_hit) {
-          return ExecutePlan(entry, cache_hit, &ctx, rows_scanned);
+        [&](const Entry& entry) {
+          return ExecutePlan(entry, &ctx, rows_scanned);
         });
   }
 

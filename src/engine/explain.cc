@@ -12,12 +12,12 @@ namespace hef {
 namespace {
 
 // Operator kind, classified from the stats-row naming convention the
-// engines share ("build", "build.bloom", "decode", "filter.<col>",
-// "probe.<col>", "groupby").
+// engines share ("build", "decode", "filter.<col>", "probe.<col>",
+// "groupby").
 const char* OperatorKind(const std::string& name) {
   if (name == "groupby") return "aggregate";
   if (name == "decode") return "decode";
-  if (name.rfind("build", 0) == 0) return "build";
+  if (name == "build") return "build";
   if (name.rfind("filter.", 0) == 0) return "filter";
   if (name.rfind("probe.", 0) == 0) return "probe";
   return "op";

@@ -57,11 +57,6 @@ struct EngineConfig {
   HybridConfig gather_cfg{1, 1, 3};
   // Rows per pipeline block (the vectorized engine's vector size).
   int block_size = 4096;
-  // Build a Bloom filter per dimension table and pre-filter probe keys
-  // before each hash join (the star-join optimization of the SIMD Bloom
-  // filter literature the paper cites). Results are unchanged — Bloom
-  // misses are definite misses, false positives fall out of the join.
-  bool bloom_prefilter = false;
   // Collect per-operator statistics (wall time, row counts, selectivity)
   // into QueryResult::operator_stats. Adds two clock reads per operator
   // per block, so it is off by default and benchmark timings should keep

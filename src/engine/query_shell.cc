@@ -246,7 +246,7 @@ QueryResult DispatchBlocks(const StarPlan& plan,
   result.morsels = cursor.dispatched();
   if (stats) {
     auto& ops = result.operator_stats;
-    ops.reserve(acc.ops.size() + 2);  // + the engine's build rows
+    ops.reserve(acc.ops.size() + 1);  // + the shell's build row
     if (dispatch.decode_row) ops.push_back(ToStats("decode", acc.ops.back()));
     std::size_t idx = 0;
     for (const RangeFilter& f : plan.filters) {

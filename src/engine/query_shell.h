@@ -65,8 +65,8 @@ struct ShellOptions {
 // PMU is unavailable.
 std::unique_ptr<PerfCounters> StartPmu();
 
-// A built plan plus the engine's per-plan extras (Bloom filters, chunk
-// pruning verdicts), sharing the plan's lifetime in the cache.
+// A built plan plus the engine's per-plan extras (chunk pruning
+// verdicts), sharing the plan's lifetime in the cache.
 template <typename Extras>
 struct PlanEntry {
   BoundPlan bound;
@@ -113,8 +113,7 @@ class QueryShell {
   Result<QueryResult> Execute(
       QueryId id, const exec::QueryContext& ctx,
       const std::function<Extras(const BoundPlan&)>& build_extras,
-      const std::function<QueryResult(const Entry&, bool cache_hit)>&
-          execute) {
+      const std::function<QueryResult(const Entry&)>& execute) {
     HEF_RETURN_NOT_OK(ctx.Check());
     std::unique_ptr<PerfCounters> pmu;
     if (options_.collect_stats && options_.collect_pmu) pmu = StartPmu();
@@ -154,7 +153,7 @@ class QueryShell {
     }
     QueryResult result;
     HEF_RETURN_NOT_OK(shell_internal::GuardExecution(
-        id, [&] { result = execute(*entry, cache_hit); }));
+        id, [&] { result = execute(*entry); }));
     HEF_RETURN_NOT_OK(ctx.Check());
     result.plan_cache_hit = cache_hit;
     if (options_.collect_stats) {

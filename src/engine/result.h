@@ -17,7 +17,7 @@ namespace hef {
 // Per-operator execution statistics, collected when
 // EngineConfig::collect_stats is set. One entry per pipeline stage in
 // execution order: the dimension build, each range filter, each join
-// probe (bloom pre-filter included), and the group-by accumulate.
+// probe (its Bloom filter included), and the group-by accumulate.
 struct OperatorStats {
   std::string name;               // e.g. "filter.discount", "probe.partkey"
   std::uint64_t wall_nanos = 0;   // summed across blocks and workers

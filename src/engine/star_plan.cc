@@ -60,7 +60,9 @@ bool AllRows(std::size_t) { return true; }
 // pruning), its payload frame and its selectivity estimate, qualifying
 // rows / n (fact foreign keys are uniform over the dimension, so this is
 // exact in expectation). The pairs are bulk-inserted, so large builds can
-// use the partitioned parallel path of LinearHashTable::InsertBatch.
+// use the partitioned parallel path of LinearHashTable::InsertBatch. The
+// collected keys also fill the join's Bloom filter unless every row
+// qualified.
 void AddJoin(PlanBuilder& b, const ssb::Column& fact_key, std::size_t n,
              const RowValue& key_of, const RowPred& pred,
              int group_key = kMarker, const RowValue& payload_of = nullptr) {
@@ -87,6 +89,12 @@ void AddJoin(PlanBuilder& b, const ssb::Column& fact_key, std::size_t n,
   join.selectivity =
       static_cast<double>(keys.size()) / static_cast<double>(n);
   b.bound.tables.push_back(std::move(table));
+  if (keys.size() < n) {
+    auto bloom = std::make_unique<BloomFilter>(keys.size());
+    for (const std::uint64_t key : keys) bloom->Insert(key);
+    join.bloom = bloom.get();
+    b.bound.blooms.push_back(std::move(bloom));
+  }
   b.bound.plan.joins.push_back(join);
   b.frames.push_back(frame);
 }

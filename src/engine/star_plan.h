@@ -1,7 +1,8 @@
 // Star-plan representation of the 13 SSB queries, shared by the vectorized
 // engine (src/engine/engine.cc) and the Voila comparator (src/voila). A
-// BoundPlan owns the filtered dimension hash tables and binds fact columns,
-// join order, measure expression and group-by mapping for one query.
+// BoundPlan owns the filtered dimension hash tables and their Bloom
+// filters and binds fact columns, join order, measure expression and
+// group-by mapping for one query.
 
 #ifndef HEF_ENGINE_STAR_PLAN_H_
 #define HEF_ENGINE_STAR_PLAN_H_
@@ -14,6 +15,7 @@
 
 #include "engine/query_id.h"
 #include "ssb/database.h"
+#include "table/bloom_filter.h"
 #include "table/linear_hash_table.h"
 
 namespace hef {
@@ -34,6 +36,11 @@ struct RangeFilter {
 struct JoinStage {
   const ssb::Column* fact_key;
   const LinearHashTable* table;
+  // Bloom filter over the keys in `table`, built in the same pass; the
+  // SSB engine probes it before `table` to drop definite misses. Null when
+  // the dimension predicate keeps every row: under foreign-key integrity
+  // every fact key is then in the table, so a filter could reject nothing.
+  const BloomFilter* bloom = nullptr;
   // Estimated fraction of fact rows surviving this join: dimension rows
   // passing the filter / dimension cardinality (fact foreign keys are
   // uniform over the dimension, so this is exact in expectation).
@@ -74,9 +81,10 @@ struct StarPlan {
   std::function<std::array<std::uint64_t, 3>(std::uint64_t)> decode;
 };
 
-// A StarPlan plus ownership of its dimension hash tables.
+// A StarPlan plus ownership of its dimension hash tables and Bloom filters.
 struct BoundPlan {
   std::vector<std::unique_ptr<LinearHashTable>> tables;
+  std::vector<std::unique_ptr<BloomFilter>> blooms;
   StarPlan plan;
 };
 
@@ -95,8 +103,8 @@ struct PlanBuildOptions {
   LinearHashTable::ParallelFor parallel_for;
 };
 
-// Builds the plan (including filtered dimension hash tables — the join
-// build phase) for one SSB query. Join stages are ordered most selective
+// Builds the plan (including filtered dimension hash tables and their
+// Bloom filters — the join build phase) for one SSB query. Join stages are ordered most selective
 // first using the estimated selectivities (stable sort, so equal-estimate
 // stages keep schema order). Deterministic; build cost is part of query
 // execution time, as in the paper's measurements (engines amortize it

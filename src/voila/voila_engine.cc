@@ -270,7 +270,7 @@ struct VoilaEngine::Impl {
     HEF_TRACE_SPAN("voila.query");
     return shell.Execute(
         id, ctx, [](const BoundPlan&) { return Extras{}; },
-        [&](const Entry& entry, bool) {
+        [&](const Entry& entry) {
           return ExecutePlan(entry.bound.plan, &ctx);
         });
   }

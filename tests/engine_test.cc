@@ -80,32 +80,6 @@ TEST(EngineTest, HybridConfigOverrideRespected) {
             RunReferenceQuery(TestDb(), QueryId::kQ2_1));
 }
 
-class EngineBloomTest : public ::testing::TestWithParam<QueryId> {};
-
-TEST_P(EngineBloomTest, BloomPrefilterPreservesResults) {
-  // Bloom pre-filtering may only drop definite misses; every query result
-  // must be unchanged under every flavour.
-  const QueryId query = GetParam();
-  const QueryResult want = RunReferenceQuery(TestDb(), query);
-  for (Flavor flavor : {Flavor::kScalar, Flavor::kSimd, Flavor::kHybrid}) {
-    EngineConfig config;
-    config.flavor = flavor;
-    config.bloom_prefilter = true;
-    SsbEngine engine(TestDb(), config);
-    EXPECT_EQ(engine.Run(query), want) << FlavorName(flavor);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllQueries, EngineBloomTest,
-                         ::testing::ValuesIn(AllQueries()),
-                         [](const ::testing::TestParamInfo<QueryId>& info) {
-                           std::string name = QueryName(info.param);
-                           for (char& c : name) {
-                             if (c == '.') c = '_';
-                           }
-                           return name;
-                         });
-
 TEST(EngineTest, BlockSizeDoesNotChangeResults) {
   const QueryResult want = RunReferenceQuery(TestDb(), QueryId::kQ3_2);
   for (int block : {64, 1000, 4096, 16384}) {

@@ -251,7 +251,6 @@ TEST_F(ExecIdentityTest, CachedVsColdBitIdenticalAllQueries) {
   EngineConfig cfg;
   cfg.flavor = Flavor::kHybrid;
   cfg.threads = 2;
-  cfg.bloom_prefilter = true;  // blooms live in the cache entry too
   SsbEngine engine(Db(), cfg);
   for (const QueryId id : AllQueries()) {
     const QueryResult cold = engine.Run(id);    // miss: builds the entry

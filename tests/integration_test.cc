@@ -1,5 +1,5 @@
 // Cross-cutting integration and property tests:
-//   * fuzz: every engine (3 flavours x {bloom on/off} + Voila) produces
+//   * fuzz: every engine (3 flavours + Voila) produces
 //     identical results on randomized databases (seeds x scales x queries);
 //   * workflow: the full offline pipeline — candidate generator -> pruning
 //     search -> tuning cache -> engine configured from the cache — runs end
@@ -31,16 +31,12 @@ TEST(EngineFuzzTest, AllEnginesAgreeOnRandomDatabases) {
       const QueryResult want = RunReferenceQuery(db, query);
       for (Flavor flavor :
            {Flavor::kScalar, Flavor::kSimd, Flavor::kHybrid}) {
-        for (bool bloom : {false, true}) {
-          EngineConfig config;
-          config.flavor = flavor;
-          config.bloom_prefilter = bloom;
-          SsbEngine engine(db, config);
-          ASSERT_EQ(engine.Run(query), want)
-              << "seed " << seed << " sf " << sf << " query "
-              << QueryName(query) << " flavor " << FlavorName(flavor)
-              << " bloom " << bloom;
-        }
+        EngineConfig config;
+        config.flavor = flavor;
+        SsbEngine engine(db, config);
+        ASSERT_EQ(engine.Run(query), want)
+            << "seed " << seed << " sf " << sf << " query "
+            << QueryName(query) << " flavor " << FlavorName(flavor);
       }
       VoilaEngine voila(db);
       ASSERT_EQ(voila.Run(query), want)
@@ -139,12 +135,11 @@ TEST(WorkflowTest, OutOfGridCachedPointKeepsTheDefault) {
 }
 
 TEST(EngineFuzzTest, AllStrategiesCombinedStillCorrect) {
-  // Every optional strategy at once: bloom pre-filter + the hybrid
-  // flavour's fused filters + 4 worker threads, across all queries.
+  // Every optional strategy at once: the hybrid flavour's fused filters +
+  // 4 worker threads, across all queries.
   const ssb::SsbDatabase db = ssb::SsbDatabase::Generate(0.01, 12);
   EngineConfig config;
   config.flavor = Flavor::kHybrid;
-  config.bloom_prefilter = true;
   config.threads = 4;
   SsbEngine engine(db, config);
   for (const QueryId query : AllQueries()) {

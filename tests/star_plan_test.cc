@@ -35,6 +35,35 @@ TEST(StarPlanTest, SelectivitiesAreEstimatedForEveryJoin) {
   }
 }
 
+// A join whose predicate keeps every dimension row carries no Bloom
+// filter; every other join's filter holds every key of its hash table.
+TEST(StarPlanTest, FilteringJoinsCarryBloomFilters) {
+  int unfiltered = 0;
+  for (const QueryId id : AllQueries()) {
+    const BoundPlan bound = BuildQueryPlan(TestDb(), id);
+    std::size_t filters = 0;
+    for (const JoinStage& join : bound.plan.joins) {
+      if (join.selectivity == 1.0) {
+        EXPECT_EQ(join.bloom, nullptr) << QueryName(id);
+        ++unfiltered;
+        continue;
+      }
+      ASSERT_NE(join.bloom, nullptr) << QueryName(id);
+      ++filters;
+      const LinearHashTable& table = *join.table;
+      for (std::size_t slot = 0; slot < table.capacity(); ++slot) {
+        const std::uint64_t key = table.keys()[slot];
+        if (key == kEmptyKey) continue;
+        ASSERT_TRUE(join.bloom->MayContain(key))
+            << QueryName(id) << " key " << key;
+      }
+    }
+    EXPECT_EQ(bound.blooms.size(), filters) << QueryName(id);
+  }
+  // The unfiltered date joins of Q2.1-Q2.3 and Q4.1.
+  EXPECT_EQ(unfiltered, 4);
+}
+
 TEST(StarPlanTest, JoinsOrderedMostSelectiveFirst) {
   for (const QueryId id : AllQueries()) {
     const BoundPlan bound = BuildQueryPlan(TestDb(), id);

@@ -26,7 +26,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -71,6 +73,24 @@
 
 namespace hef {
 namespace {
+
+// Hostile numbers are a usage error naming the flag, caught before any
+// database is built or thread started: the layers below abort on them.
+bool PositiveFinite(const char* flag, double value) {
+  if (value > 0 && std::isfinite(value)) return true;
+  std::fprintf(stderr, "--%s must be a positive finite number, got %g\n",
+               flag, value);
+  return false;
+}
+
+bool InRange(const char* flag, std::int64_t value, std::int64_t lo,
+             std::int64_t hi) {
+  if (value >= lo && value <= hi) return true;
+  std::fprintf(stderr, "--%s must be in [%lld, %lld], got %lld\n", flag,
+               static_cast<long long>(lo), static_cast<long long>(hi),
+               static_cast<long long>(value));
+  return false;
+}
 
 int CmdInfo(int argc, char** argv) {
   FlagParser flags;
@@ -204,6 +224,7 @@ int CmdQuery(int argc, char** argv) {
     flags.PrintUsage("hef query");
     return flags.HelpRequested() ? 0 : 1;
   }
+  if (!PositiveFinite("sf", flags.GetDouble("sf"))) return 1;
   const auto query = ParseQueryId(flags.GetString("query"));
   if (!query.ok()) {
     std::fprintf(stderr, "%s\n", query.status().ToString().c_str());
@@ -836,6 +857,13 @@ int CmdServe(int argc, char** argv) {
   if (!flags.Parse(argc, argv).ok() || flags.HelpRequested()) {
     flags.PrintUsage("hef serve");
     return flags.HelpRequested() ? 0 : 1;
+  }
+  // The executor bound is the admission controller's; the queue bound
+  // keeps the default HTTP pool size (executors + queue_limit + 8) an int.
+  if (!PositiveFinite("sf", flags.GetDouble("sf")) ||
+      !InRange("executors", flags.GetInt64("executors"), 1, 256) ||
+      !InRange("queue_limit", flags.GetInt64("queue_limit"), 1, 1 << 20)) {
+    return 1;
   }
 
   const auto flavor = ResolveFlavorFlag(flags.GetString("flavor"));
