@@ -18,7 +18,6 @@
 #include "table/group_agg.h"
 #include "table/linear_hash_table.h"
 #include "table/probe.h"
-#include "table/radix_partition.h"
 
 namespace hef {
 namespace {
@@ -166,25 +165,6 @@ BENCHMARK(BM_GroupAgg)
     ->Args({1, 16})
     ->Args({0, 4096})
     ->Args({1, 4096});
-
-void BM_RadixPartition(benchmark::State& state) {
-  const int bits = static_cast<int>(state.range(0));
-  AlignedBuffer<std::uint64_t> keys(kElements, 64), vals(kElements, 64),
-      scratch(kElements, 64), out_k(kElements, 64), out_v(kElements, 64);
-  Rng rng(9);
-  for (std::size_t i = 0; i < kElements; ++i) {
-    keys[i] = rng.Next();
-    vals[i] = i;
-  }
-  for (auto _ : state) {
-    auto parts = RadixPartition(HybridConfig{1, 3, 2}, keys.data(),
-                                vals.data(), kElements, bits,
-                                scratch.data(), out_k.data(), out_v.data());
-    benchmark::DoNotOptimize(parts.offsets.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kElements);
-}
-BENCHMARK(BM_RadixPartition)->Arg(4)->Arg(8)->Arg(12);
 
 void BM_ScanRangeBitmap(benchmark::State& state) {
   const Flavor flavor =

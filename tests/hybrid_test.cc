@@ -96,6 +96,23 @@ TEST(HybridConfigTest, ParseRejectsGarbage) {
   EXPECT_FALSE(HybridConfig::Parse("v1s3p2x").ok());
   EXPECT_FALSE(HybridConfig::Parse("v0s0p1").ok());
   EXPECT_FALSE(HybridConfig::Parse("banana").ok());
+  // Overflowing and oversized fields: each bounded by kMaxCoordinate.
+  EXPECT_FALSE(HybridConfig::Parse("v1s1p99999999999").ok());
+  EXPECT_FALSE(HybridConfig::Parse("v99999s1p1").ok());
+  EXPECT_FALSE(HybridConfig::Parse("v1s1p100000").ok());
+  EXPECT_FALSE(HybridConfig::Parse("v33s1p1").ok());
+  EXPECT_FALSE(HybridConfig::Parse("v1s33p1").ok());
+  EXPECT_FALSE(HybridConfig::Parse("v1s1p33").ok());
+  EXPECT_TRUE(HybridConfig::Parse("v32s32p32").ok());
+  // Signed, spaced and zero-padded spellings are not canonical.
+  EXPECT_FALSE(HybridConfig::Parse("v1s1p+2").ok());
+  EXPECT_FALSE(HybridConfig::Parse("v1s1p-2").ok());
+  EXPECT_FALSE(HybridConfig::Parse("v-1s1p1").ok());
+  EXPECT_FALSE(HybridConfig::Parse("v 1s1p2").ok());
+  EXPECT_FALSE(HybridConfig::Parse("v1s1p2 ").ok());
+  EXPECT_FALSE(HybridConfig::Parse(" v1s1p2").ok());
+  EXPECT_FALSE(HybridConfig::Parse("v01s1p2").ok());
+  EXPECT_FALSE(HybridConfig::Parse("v1s1p").ok());
 }
 
 TEST(HybridConfigTest, ElementsPerChunk) {

@@ -131,6 +131,25 @@ TEST(WorkflowTest, OutOfGridCachedPointKeepsTheDefault) {
     EXPECT_EQ(engine.Run(query), RunReferenceQuery(db, query))
         << QueryName(query);
   }
+
+  // A point whose number does not fit an int is refused when the cache is
+  // read, with a warning naming it; the engine keeps its defaults.
+  {
+    TuningCache cache(cache_path);
+    cache.Put("gather", HybridConfig{2, 0, 1}, 1e-3, 0.5);
+    ASSERT_TRUE(cache.Save().ok());
+    std::FILE* f = std::fopen(cache_path.c_str(), "a");
+    ASSERT_NE(f, nullptr);
+    std::fputs("op probe v1s1p99999999999 0.001 5.0\n", f);
+    std::fclose(f);
+  }
+  EngineConfig overflow;
+  overflow.flavor = Flavor::kHybrid;
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(ApplyCache(cache_path, &overflow), "");
+  const std::string warning = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(warning.find("v1s1p99999999999"), std::string::npos) << warning;
+  EXPECT_EQ(overflow.probe_cfg, default_probe);
   std::remove(cache_path.c_str());
 }
 

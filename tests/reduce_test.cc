@@ -1,6 +1,6 @@
 // Tests for the hybrid reduction combinator and the sum/min/max kernels:
 // every (v, s, p) instantiation must equal the sequential fold, for all
-// input sizes including tails and empty inputs; plus the zip runner.
+// input sizes including tails and empty inputs.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "algo/reduce.h"
 #include "common/aligned_buffer.h"
 #include "common/rng.h"
-#include "hybrid/hybrid_zip_runner.h"
 
 namespace hef {
 namespace {
@@ -72,59 +71,6 @@ TEST(ReduceEdgeTest, EmptyInputsYieldIdentities) {
   EXPECT_EQ(SumArray(cfg, nullptr, 0), 0u);
   EXPECT_EQ(MinArray(cfg, nullptr, 0), ~0ULL);
   EXPECT_EQ(MaxArray(cfg, nullptr, 0), 0u);
-}
-
-// ---- Zip runner ----
-
-// out[i] = a[i] * b[i] (the Q1 measure expression).
-struct MulZipKernel {
-  template <typename B>
-  struct State {
-    typename B::Reg x;
-  };
-  template <typename B>
-  HEF_INLINE void Load(State<B>& st, const std::uint64_t* a,
-                       const std::uint64_t* b) const {
-    st.x = B::Mul(B::LoadU(a), B::LoadU(b));
-  }
-  template <typename B>
-  HEF_INLINE void Compute(State<B>&) const {}
-  template <typename B>
-  HEF_INLINE void Store(std::uint64_t* out, const State<B>& st) const {
-    B::StoreU(out, st.x);
-  }
-};
-
-TEST(ZipRunnerTest, MulKernelAllConfigsMatchReference) {
-  Rng rng(41);
-  const std::size_t n = 3037;
-  AlignedBuffer<std::uint64_t> a(n, 256), b(n, 256), out(n, 256);
-  for (std::size_t i = 0; i < n; ++i) {
-    a[i] = rng.Next();
-    b[i] = rng.Next();
-  }
-  auto check = [&](auto runner_tag) {
-    using Runner = decltype(runner_tag);
-    Runner::Run(MulZipKernel{}, a.data(), b.data(), out.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(out[i], a[i] * b[i]) << "element " << i;
-    }
-  };
-  check(HybridZipRunner<MulZipKernel, 0, 1, 1>{});
-  check(HybridZipRunner<MulZipKernel, 1, 0, 1>{});
-  check(HybridZipRunner<MulZipKernel, 1, 3, 2>{});
-  check(HybridZipRunner<MulZipKernel, 2, 2, 3>{});
-}
-
-TEST(ZipRunnerTest, TinyInputsRunThroughScalarTail) {
-  AlignedBuffer<std::uint64_t> a(3, 64), b(3, 64), out(3, 64);
-  a[0] = 2; a[1] = 3; a[2] = 4;
-  b[0] = 5; b[1] = 6; b[2] = 7;
-  HybridZipRunner<MulZipKernel, 2, 2, 2>::Run(MulZipKernel{}, a.data(),
-                                              b.data(), out.data(), 3);
-  EXPECT_EQ(out[0], 10u);
-  EXPECT_EQ(out[1], 18u);
-  EXPECT_EQ(out[2], 28u);
 }
 
 }  // namespace

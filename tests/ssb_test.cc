@@ -5,13 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
 #include <set>
 #include <string>
 
 #include "ssb/database.h"
 #include "ssb/schema.h"
-#include "ssb/tbl_loader.h"
 
 namespace hef::ssb {
 namespace {
@@ -201,134 +199,6 @@ TEST(SsbGeneratorTest, TotalBytesAccountsForColumns) {
   const SsbDatabase db = SsbDatabase::Generate(0.001);
   // 6000 lineorder rows * 9 columns * 8B is the dominant term.
   EXPECT_GT(db.TotalBytes(), 6000u * 9 * 8);
-}
-
-// --- .tbl serving-path loader -----------------------------------------
-
-class TblLoaderTest : public ::testing::Test {
- protected:
-  // A fresh directory per test so corruption in one test cannot leak
-  // into another.
-  std::string Dir(const char* name) const {
-    return ::testing::TempDir() + "hef_tbl_" + name;
-  }
-
-  static void Append(const std::string& path, const std::string& text) {
-    std::ofstream out(path, std::ios::app);
-    ASSERT_TRUE(out.is_open()) << path;
-    out << text;
-  }
-};
-
-TEST_F(TblLoaderTest, RoundTripIsBitIdentical) {
-  const SsbDatabase db = SsbDatabase::Generate(0.005, 7);
-  const std::string dir = Dir("roundtrip");
-  ASSERT_TRUE(WriteTbl(db, dir).ok());
-  Result<SsbDatabase> loaded = LoadTblDatabase(dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const SsbDatabase& got = loaded.value();
-
-  EXPECT_DOUBLE_EQ(got.scale_factor, db.scale_factor);
-  ASSERT_EQ(got.date.n, db.date.n);
-  ASSERT_EQ(got.customer.n, db.customer.n);
-  ASSERT_EQ(got.supplier.n, db.supplier.n);
-  ASSERT_EQ(got.part.n, db.part.n);
-  ASSERT_EQ(got.lineorder.n, db.lineorder.n);
-  for (std::size_t i = 0; i < db.date.n; ++i) {
-    ASSERT_EQ(got.date.datekey[i], db.date.datekey[i]);
-    ASSERT_EQ(got.date.year[i], db.date.year[i]);
-    ASSERT_EQ(got.date.yearmonthnum[i], db.date.yearmonthnum[i]);
-    ASSERT_EQ(got.date.weeknuminyear[i], db.date.weeknuminyear[i]);
-  }
-  for (std::size_t i = 0; i < db.customer.n; ++i) {
-    ASSERT_EQ(got.customer.city[i], db.customer.city[i]);
-    ASSERT_EQ(got.customer.nation[i], db.customer.nation[i]);
-    ASSERT_EQ(got.customer.region[i], db.customer.region[i]);
-  }
-  for (std::size_t i = 0; i < db.lineorder.n; ++i) {
-    ASSERT_EQ(got.lineorder.orderdate[i], db.lineorder.orderdate[i]);
-    ASSERT_EQ(got.lineorder.custkey[i], db.lineorder.custkey[i]);
-    ASSERT_EQ(got.lineorder.suppkey[i], db.lineorder.suppkey[i]);
-    ASSERT_EQ(got.lineorder.partkey[i], db.lineorder.partkey[i]);
-    ASSERT_EQ(got.lineorder.quantity[i], db.lineorder.quantity[i]);
-    ASSERT_EQ(got.lineorder.discount[i], db.lineorder.discount[i]);
-    ASSERT_EQ(got.lineorder.extendedprice[i],
-              db.lineorder.extendedprice[i]);
-    ASSERT_EQ(got.lineorder.revenue[i], db.lineorder.revenue[i]);
-    ASSERT_EQ(got.lineorder.supplycost[i], db.lineorder.supplycost[i]);
-  }
-}
-
-TEST_F(TblLoaderTest, MissingDirectoryIsIoErrorNotAbort) {
-  Result<SsbDatabase> r =
-      LoadTblDatabase(Dir("does_not_exist_anywhere"));
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
-}
-
-TEST_F(TblLoaderTest, BadMagicRejected) {
-  const std::string dir = Dir("badmagic");
-  ASSERT_TRUE(WriteTbl(SsbDatabase::Generate(0.001), dir).ok());
-  std::ofstream meta(dir + "/meta.tbl");  // truncate + rewrite
-  meta << "csv v9\nsf 1\n";
-  meta.close();
-  Result<SsbDatabase> r = LoadTblDatabase(dir);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().ToString().find("bad magic"), std::string::npos);
-}
-
-TEST_F(TblLoaderTest, NonNumericFieldNamesFileAndLine) {
-  const std::string dir = Dir("corrupt_field");
-  ASSERT_TRUE(WriteTbl(SsbDatabase::Generate(0.001), dir).ok());
-  Append(dir + "/lineorder.tbl", "19920101|abc|1|1|1|0|100|100|50|\n");
-  Result<SsbDatabase> r = LoadTblDatabase(dir);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().ToString().find("lineorder.tbl"),
-            std::string::npos);
-  EXPECT_NE(r.status().ToString().find("field 2"), std::string::npos);
-}
-
-TEST_F(TblLoaderTest, TruncatedRowRejected) {
-  const std::string dir = Dir("short_row");
-  ASSERT_TRUE(WriteTbl(SsbDatabase::Generate(0.001), dir).ok());
-  Append(dir + "/date.tbl", "19990101|1999|\n");  // 2 of 4 fields
-  Result<SsbDatabase> r = LoadTblDatabase(dir);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(TblLoaderTest, ForeignKeyOutsideDimensionRejected) {
-  const std::string dir = Dir("bad_fk");
-  ASSERT_TRUE(WriteTbl(SsbDatabase::Generate(0.001), dir).ok());
-  // Valid shape, but custkey 999999 exceeds the customer row count: the
-  // loader must refuse rather than let a query index out of bounds.
-  Append(dir + "/lineorder.tbl", "19920101|999999|1|1|1|0|100|100|50|\n");
-  Result<SsbDatabase> r = LoadTblDatabase(dir);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().ToString().find("custkey"), std::string::npos);
-}
-
-TEST_F(TblLoaderTest, OrderdateMissingFromDateDimensionRejected) {
-  const std::string dir = Dir("bad_orderdate");
-  ASSERT_TRUE(WriteTbl(SsbDatabase::Generate(0.001), dir).ok());
-  Append(dir + "/lineorder.tbl", "11111111|1|1|1|1|0|100|100|50|\n");
-  Result<SsbDatabase> r = LoadTblDatabase(dir);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().ToString().find("orderdate"), std::string::npos);
-}
-
-TEST_F(TblLoaderTest, EmptyDateDimensionRejected) {
-  const std::string dir = Dir("empty_date");
-  ASSERT_TRUE(WriteTbl(SsbDatabase::Generate(0.001), dir).ok());
-  std::ofstream date(dir + "/date.tbl");  // truncate to zero rows
-  date.close();
-  Result<SsbDatabase> r = LoadTblDatabase(dir);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

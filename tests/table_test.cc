@@ -12,7 +12,6 @@
 #include "common/rng.h"
 #include "table/linear_hash_table.h"
 #include "table/probe.h"
-#include "table/probe_interleaved.h"
 
 namespace hef {
 namespace {
@@ -147,44 +146,6 @@ TEST(ProbeStressTest, HighLoadFactorCollisionChase) {
       ASSERT_EQ(out[i], want) << cfg.ToString() << " key " << keys[i];
     }
   }
-}
-
-TEST(ProbeInterleavedTest, MatchesScalarAcrossDepths) {
-  LinearHashTable table(2048);
-  std::unordered_map<std::uint64_t, std::uint64_t> reference;
-  Rng rng(23);
-  for (int i = 0; i < 2048; ++i) {
-    const std::uint64_t k = rng.Uniform(1, 1 << 16);
-    if (reference.count(k)) continue;
-    reference[k] = i;
-    table.Insert(k, i);
-  }
-  const std::size_t n = 4099;  // bulk + scalar tail
-  AlignedBuffer<std::uint64_t> keys(n, 64), out(n, 64);
-  for (std::size_t i = 0; i < n; ++i) keys[i] = rng.Uniform(1, 1 << 16);
-
-  for (int depth : {1, 2, 4, 16}) {
-    ProbeArrayInterleaved(table, keys.data(), out.data(), n, depth);
-    for (std::size_t i = 0; i < n; ++i) {
-      auto it = reference.find(keys[i]);
-      const std::uint64_t want =
-          it == reference.end() ? kMissValue : it->second;
-      ASSERT_EQ(out[i], want) << "depth " << depth << " key " << keys[i];
-    }
-  }
-}
-
-TEST(ProbeInterleavedTest, TinyInputsAllTail) {
-  LinearHashTable table(16);
-  table.Insert(5, 50);
-  AlignedBuffer<std::uint64_t> keys(3, 64), out(3, 64);
-  keys[0] = 5;
-  keys[1] = 6;
-  keys[2] = 5;
-  ProbeArrayInterleaved(table, keys.data(), out.data(), 3, 8);
-  EXPECT_EQ(out[0], 50u);
-  EXPECT_EQ(out[1], kMissValue);
-  EXPECT_EQ(out[2], 50u);
 }
 
 TEST(ProbeTest, EmptyTableAllMiss) {

@@ -441,6 +441,18 @@ int CmdSql(int argc, char** argv) {
   return 0;
 }
 
+// The --isa flag of `hef generate` and `hef lint`: a usage error naming
+// the flag, and false, for anything but avx512 | avx2.
+bool ParseIsaFlag(const std::string& name, Isa* isa) {
+  if (name != "avx512" && name != "avx2") {
+    std::fprintf(stderr, "unknown --isa '%s' (avx512 | avx2)\n",
+                 name.c_str());
+    return false;
+  }
+  *isa = name == "avx2" ? Isa::kAvx2 : Isa::kAvx512;
+  return true;
+}
+
 // The gate a template from outside the program passes before its kernel
 // is printed: the HID verifier before expansion, the pack claim (§IV-B)
 // on the emitted source after.
@@ -480,6 +492,13 @@ int CmdGenerate(int argc, char** argv) {
     return flags.HelpRequested() ? 0 : 1;
   }
   const std::string which = flags.GetString("operator");
+  if (which != "murmur" && which != "crc64") {
+    std::fprintf(stderr, "unknown --operator '%s' (murmur | crc64)\n",
+                 which.c_str());
+    return 1;
+  }
+  TranslateOptions options;
+  if (!ParseIsaFlag(flags.GetString("isa"), &options.vector_isa)) return 1;
   const std::string text = which == "crc64" ? BuiltinCrc64Template()
                                             : BuiltinMurmurTemplate();
   const auto op = flags.GetString("file").empty()
@@ -491,10 +510,7 @@ int CmdGenerate(int argc, char** argv) {
                  (!op.ok() ? op.status() : cfg.status()).ToString().c_str());
     return 1;
   }
-  TranslateOptions options;
   options.config = cfg.value();
-  options.vector_isa =
-      flags.GetString("isa") == "avx2" ? Isa::kAvx2 : Isa::kAvx512;
   const auto source = TranslateVerified(op.value(), options);
   if (!source.ok()) {
     std::fprintf(stderr, "%s\n", source.status().ToString().c_str());
@@ -561,13 +577,8 @@ int CmdLint(int argc, char** argv) {
     return flags.HelpRequested() ? 0 : 1;
   }
   const std::string isa_name = flags.GetString("isa");
-  if (isa_name != "avx512" && isa_name != "avx2") {
-    std::fprintf(stderr, "unknown --isa '%s' (avx512 | avx2)\n",
-                 isa_name.c_str());
-    return 1;
-  }
   analysis::VerifyOptions verify;
-  verify.vector_isa = isa_name == "avx2" ? Isa::kAvx2 : Isa::kAvx512;
+  if (!ParseIsaFlag(isa_name, &verify.vector_isa)) return 1;
   verify.check_host_isa = flags.GetBool("host-isa");
   const bool prove = flags.GetBool("prove");
   // The prove tier insists every gather has a provable bound (HID017).
