@@ -25,6 +25,16 @@ struct Measurement {
   PerfReading perf;            // counters for the best run (or invalid)
 };
 
+// The q-quantile (0 <= q <= 1) of non-empty ascending `sorted`,
+// interpolated linearly between neighbouring samples.
+inline double Quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] +
+         (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+}
+
 // Runs `fn` `repetitions` times (after one warm-up) and returns the
 // fastest run's wall clock and counters plus all timed samples and their
 // median. The warm-up run is never timed, so it cannot leak into the
@@ -54,27 +64,16 @@ inline Measurement MeasureBest(const std::function<void()>& fn,
             static_cast<std::size_t>(repetitions));
   std::vector<double> sorted = best.samples_ms;
   std::sort(sorted.begin(), sorted.end());
-  const std::size_t mid = sorted.size() / 2;
-  best.median_ms = sorted.size() % 2 == 1
-                       ? sorted[mid]
-                       : 0.5 * (sorted[mid - 1] + sorted[mid]);
+  best.median_ms = Quantile(sorted, 0.5);
   return best;
 }
 
-// Formats a counter column, "n/a" when the PMU was unavailable.
+// Formats a counter column (e.g. a count / 1e6), "n/a" when the PMU was
+// unavailable.
 inline std::string PerfNum(const PerfReading& r, double value, int digits) {
   if (!r.valid) return "n/a";
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, value);
-  return buf;
-}
-
-inline std::string CountScaled(const PerfReading& r, std::uint64_t count,
-                               double scale, int digits = 1) {
-  if (!r.valid) return "n/a";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f",
-                digits, static_cast<double>(count) / scale);
   return buf;
 }
 

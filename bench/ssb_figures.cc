@@ -1,23 +1,34 @@
-// Reproduces Figures 8 / 9 / 10: SSB query execution times for the four
-// implementations — purely scalar, purely SIMD, Voila, and HEF hybrid —
-// at a chosen scale factor. The paper runs SF10 / SF20 / SF50 on two Xeon
-// testbeds; this harness runs SF1 / SF2 / SF4 by default on the host (see
-// DESIGN.md §5 for the substitution rationale) — pass --sf to change.
+// The SSB exhibit harness: the paper's Figs. 8-10 (per-query time of the
+// scalar, SIMD, Voila and HEF hybrid engines), Tables III-V (counters) and
+// §VII (tuned points per query) from one interleaved measurement, at
+// SF1/2/4 in place of the paper's SF10/20/50 (DESIGN.md §5).
 //
-//   ssb_figures --sf=1              # Figure 8 analogue (small scale)
-//   ssb_figures --sf=2              # Figure 9 analogue (medium scale)
-//   ssb_figures --sf=4              # Figure 10 analogue (large scale)
+//   ssb_figures --sf=1,2,4 --threads=1 --points=default,global,query
+//
+// A cell is one (sf, query, engine, point). Each cell runs once untimed
+// (checked against the reference executor under --verify), then once per
+// round. Each round visits every cell, starting at a query and an engine
+// that rotate round by round, so drift on a shared host lands on every
+// cell alike. A cell reports its median and quartiles over the rounds.
+// Rounds run one scale factor at a time: one database is resident.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/flags.h"
+#include "common/stopwatch.h"
 #include "common/text_table.h"
 #include "engine/engine.h"
 #include "engine/reference.h"
 #include "exec/runtime.h"
+#include "procinfo/cpu_features.h"
 #include "ssb/database.h"
 #include "telemetry/bench_report.h"
 #include "tuner/kernel_table.h"
@@ -28,20 +39,230 @@
 namespace hef {
 namespace {
 
+// The hybrid rows' tuned points: the EngineConfig default (v1s1p3, the
+// paper's SSB optimum); the offline phase's global point; and the global
+// point with the probe re-tuned on each query (§VII).
+const std::vector<std::string> kPoints = {"default", "global", "query"};
+
+// One (sf, query, engine, point) cell: how to run it, its samples and
+// their summary, which is the cell's report row.
+struct Cell {
+  double sf = 0;
+  QueryId query{};
+  std::string engine;  // scalar, simd, voila or hybrid
+  std::string point;   // hybrid: one of kPoints; "none" otherwise
+  std::string config;  // the kernel points the engine runs
+  std::function<QueryResult()> run;
+  std::vector<double> ms{};  // one per round
+  std::vector<PerfReading> perf{};
+  double median = 0, q1 = 0, q3 = 0;
+  PerfReading counters{};  // those of the round at the (upper) median
+};
+
+// Parses the comma list `text` item by item. A refused or repeated item
+// is a usage error naming the flag, caught before any database exists.
+template <typename T, typename Parse>
+bool ParseList(const char* flag, const char* want, const std::string& text,
+               const Parse& parse, std::vector<T>* out) {
+  for (std::size_t begin = 0;;) {
+    const std::size_t end = std::min(text.find(',', begin), text.size());
+    T value{};
+    if (!parse(text.substr(begin, end - begin), &value) ||
+        std::count(out->begin(), out->end(), value) != 0) {
+      std::fprintf(stderr, "--%s must be %s, got '%s'\n", flag, want,
+                   text.c_str());
+      return false;
+    }
+    out->push_back(value);
+    if (end == text.size()) return true;
+    begin = end + 1;
+  }
+}
+
+// The global point: the paper's offline phase runs "predefined test
+// queries" (§III-A), not synthetic proxies. The probe is tuned end to end
+// on representative multi-join queries, the gather on its standalone
+// workload (gathers are uniform across queries).
+EngineConfig TuneGlobal(const ssb::SsbDatabase& db, EngineConfig cfg,
+                        double sf, telemetry::BenchReport* report) {
+  std::printf("tuning hybrid kernels (offline phase)...\n");
+  QueryTuneOptions qopt;
+  qopt.initial_probe = cfg.probe_cfg;
+  qopt.repetitions = 3;
+  const QueryTuneResult probe = TuneQueriesProbe(
+      db, {QueryId::kQ2_1, QueryId::kQ3_1, QueryId::kQ4_1}, qopt);
+  report->AddSection("probe_tune_trace_sf" + TextTable::Num(sf, 2),
+                     TuneTraceToJson(probe.search));
+  KernelTuneOptions gopt;
+  gopt.repetitions = 7;
+  gopt.elements = 1 << 18;
+  const TuneResult gather = TuneKernel(FindKernel("gather"), gopt);
+  cfg.probe_cfg = probe.probe;
+  cfg.gather_cfg = gather.best;
+  std::printf("  probe kernel:  %s (%d nodes, test queries "
+              "Q2.1/Q3.1/Q4.1)\n  gather kernel: %s (%d nodes tested)\n",
+              probe.probe.ToString().c_str(), probe.nodes_tested,
+              gather.best.ToString().c_str(), gather.nodes_tested);
+  return cfg;
+}
+
+// Runs every cell once untimed (checking it under `verify`), then
+// `rounds` interleaved rounds. `cells` is query-major with `engines`
+// cells per query. False on a result mismatch.
+bool MeasureCells(const ssb::SsbDatabase& db, bool verify,
+                  std::size_t rounds, std::size_t engines,
+                  PerfCounters* counters, std::vector<Cell>* cells) {
+  QueryResult want;
+  for (std::size_t c = 0; c < cells->size(); ++c) {
+    const Cell& cell = (*cells)[c];
+    if (verify && c % engines == 0) want = RunReferenceQuery(db, cell.query);
+    const QueryResult got = cell.run();
+    if (verify && !(got == want)) {
+      std::fprintf(stderr, "verification failed: %s %s (%s) at SF %g\n",
+                   QueryName(cell.query), cell.engine.c_str(),
+                   cell.point.c_str(), cell.sf);
+      return false;
+    }
+  }
+  const std::size_t queries = cells->size() / engines;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::size_t qi = 0; qi < queries; ++qi) {
+      for (std::size_t ei = 0; ei < engines; ++ei) {
+        Cell& cell =
+            (*cells)[(qi + r) % queries * engines + (ei + r) % engines];
+        counters->Start();
+        Stopwatch sw;
+        cell.run();
+        cell.ms.push_back(sw.ElapsedMillis());
+        cell.perf.push_back(counters->Stop());
+      }
+    }
+    std::printf(".");
+    std::fflush(stdout);
+  }
+  for (Cell& cell : *cells) {
+    std::vector<double> sorted = cell.ms;
+    std::sort(sorted.begin(), sorted.end());
+    cell.median = bench::Quantile(sorted, 0.5);
+    cell.q1 = bench::Quantile(sorted, 0.25);
+    cell.q3 = bench::Quantile(sorted, 0.75);
+    const auto mid = std::find(cell.ms.begin(), cell.ms.end(),
+                               sorted[sorted.size() / 2]);
+    cell.counters = cell.perf[mid - cell.ms.begin()];
+    cell.run = nullptr;  // its engines end with the scale factor
+  }
+  return true;
+}
+
+// Figs. 8-10 for one scale factor's query-major `cells`: each median with
+// its interquartile range as a share of it. HEF in the ratio columns is
+// the first point.
+std::string FigureTable(const std::vector<Cell>& cells,
+                        const std::vector<std::string>& points) {
+  const std::size_t engines = 3 + points.size();
+  std::vector<std::string> header = {"Query", "Scalar (ms)", "SIMD (ms)",
+                                     "Voila (ms)"};
+  for (const std::string& point : points) {
+    header.push_back("HEF " + point + " (ms)");
+  }
+  header.insert(header.end(), {"HEF/Scalar", "HEF/SIMD", "HEF/Voila"});
+  TextTable table;
+  table.AddRow(header);
+  for (std::size_t c = 0; c < cells.size(); c += engines) {
+    const Cell* row = &cells[c];
+    std::vector<std::string> text = {QueryName(row->query)};
+    for (std::size_t e = 0; e < engines; ++e) {
+      text.push_back(TextTable::Num(row[e].median, 1) + " (" +
+                     TextTable::Num(100 * (row[e].q3 - row[e].q1) /
+                                        row[e].median, 0) +
+                     "%)");
+    }
+    for (std::size_t e = 0; e < 3; ++e) {
+      text.push_back(TextTable::Num(row[e].median / row[3].median, 2) + "x");
+    }
+    table.AddRow(text);
+  }
+  return table.ToString();
+}
+
+// One scale factor's row of the scale trend (Figs. 8 -> 9 -> 10): the
+// geomean speedups of the first hybrid point over each flavour, and on how
+// many queries it is at or below both pure flavours.
+std::vector<std::string> TrendRow(const std::vector<Cell>& cells,
+                                  std::size_t engines) {
+  double log_ratio[3] = {0, 0, 0};
+  int wins = 0;
+  for (std::size_t c = 0; c < cells.size(); c += engines) {
+    const Cell* row = &cells[c];
+    for (int e = 0; e < 3; ++e) {
+      log_ratio[e] += std::log(row[e].median / row[3].median);
+    }
+    wins += row[3].median <= std::min(row[0].median, row[1].median);
+  }
+  const std::size_t queries = cells.size() / engines;
+  std::vector<std::string> text = {TextTable::Num(cells[0].sf, 2)};
+  for (const double l : log_ratio) {
+    text.push_back(TextTable::Num(std::exp(l / queries), 2) + "x");
+  }
+  text.push_back(std::to_string(wins) + " of " + std::to_string(queries));
+  return text;
+}
+
+// Tables III-V for one query: each engine's counters at its median round.
+std::string CounterTable(const Cell* row, std::size_t engines) {
+  std::vector<std::string> text[] = {
+      {"Attributes"}, {"Instructions (10^8)"}, {"LLC-misses (10^6)"},
+      {"IPC"},        {"Frequency (GHz)"},     {"Time (ms)"}};
+  for (std::size_t e = 0; e < engines; ++e) {
+    const PerfReading& p = row[e].counters;
+    text[0].push_back(row[e].engine == "hybrid" ? "HEF " + row[e].point
+                                                : row[e].engine);
+    text[1].push_back(bench::PerfNum(p, p.instructions / 1e8, 1));
+    text[2].push_back(bench::PerfNum(p, p.llc_misses / 1e6, 2));
+    text[3].push_back(bench::PerfNum(p, p.Ipc(), 2));
+    text[4].push_back(bench::PerfNum(p, p.FrequencyGhz(), 2));
+    text[5].push_back(TextTable::Num(row[e].median, 1));
+  }
+  TextTable table;
+  for (const std::vector<std::string>& line : text) table.AddRow(line);
+  return table.ToString();
+}
+
+void ReportRow(const Cell& cell, telemetry::BenchReport* report) {
+  auto& row = report->AddResult();
+  row.Set("query", QueryName(cell.query))
+      .Set("engine", cell.engine)
+      .Set("ms", cell.median)
+      .Set("sf", cell.sf)
+      .Set("point", cell.point)
+      .Set("config", cell.config)
+      .Set("q1_ms", cell.q1)
+      .Set("q3_ms", cell.q3)
+      .Set("rounds", static_cast<std::int64_t>(cell.ms.size()));
+  if (cell.counters.valid) {
+    row.Set("instructions", cell.counters.instructions)
+        .Set("ipc", cell.counters.Ipc())
+        .Set("llc_misses", cell.counters.llc_misses)
+        .Set("frequency_ghz", cell.counters.FrequencyGhz())
+        .Set("pmu_scaled", cell.counters.scaled);
+  }
+}
+
 int Main(int argc, char** argv) {
   FlagParser flags;
-  flags.AddDouble("sf", 1.0, "SSB scale factor");
-  flags.AddInt64("repetitions", 3, "measurement repetitions per query");
-  flags.AddBool("tune", true,
-                "tune the hybrid kernel coordinates before measuring");
-  flags.AddBool("csv", false, "emit CSV instead of an aligned table");
-  flags.AddBool("all-queries", false,
-                "include Q1.x (the paper's figures exclude them)");
+  flags.AddString("sf", "1", "comma list of SSB scale factors");
+  flags.AddString("queries", "figures",
+                  "figures (the paper's ten, Q2.1-Q4.3), all, or a comma "
+                  "list such as 2.1,4.3");
+  flags.AddString("points", "global",
+                  "comma list of hybrid tuned points: default (v1s1p3), "
+                  "global (offline phase), query (probe tuned per query)");
+  flags.AddInt64("repetitions", 5, "interleaved measurement rounds");
   flags.AddBool("verify", true,
-                "cross-check all engines against the reference executor");
+                "cross-check every cell against the reference executor");
   flags.AddString("threads", "auto",
-                  "worker threads per engine: auto (one per hardware "
-                  "thread) or a count; the paper's per-core exhibits use 1");
+                  "worker threads per engine: auto or a count (the paper's "
+                  "per-core exhibits use 1)");
   flags.AddString("json", "",
                   "write a hef-bench-v1 JSON report to this path");
   const Status st = flags.Parse(argc, argv);
@@ -54,8 +275,44 @@ int Main(int argc, char** argv) {
     return 0;
   }
 
-  const double sf = flags.GetDouble("sf");
-  const int repetitions = static_cast<int>(flags.GetInt64("repetitions"));
+  std::vector<double> sfs;
+  std::vector<QueryId> queries;
+  std::vector<std::string> points;
+  const auto parse_sf = [](const std::string& item, double* out) {
+    char* end = nullptr;
+    *out = std::strtod(item.c_str(), &end);
+    return !item.empty() && *end == '\0' && *out > 0 && std::isfinite(*out);
+  };
+  const auto parse_query = [](const std::string& item, QueryId* out) {
+    const Result<QueryId> id = ParseQueryId(item);
+    if (id.ok()) *out = id.value();
+    return id.ok();
+  };
+  const auto parse_point = [](const std::string& item, std::string* out) {
+    *out = item;
+    return std::count(kPoints.begin(), kPoints.end(), item) != 0;
+  };
+  const std::string query_list = flags.GetString("queries");
+  if (query_list == "figures" || query_list == "all") {
+    queries = query_list == "all" ? AllQueries() : PaperFigureQueries();
+  } else if (!ParseList("queries", "figures, all or a comma list of "
+                        "distinct SSB queries such as 2.1,4.3",
+                        query_list, parse_query, &queries)) {
+    return 1;
+  }
+  if (!ParseList("sf", "a comma list of distinct positive finite scale "
+                 "factors", flags.GetString("sf"), parse_sf, &sfs) ||
+      !ParseList("points", "a comma list of distinct points from default, "
+                 "global, query", flags.GetString("points"), parse_point,
+                 &points)) {
+    return 1;
+  }
+  const std::int64_t rounds = flags.GetInt64("repetitions");
+  if (rounds < 1 || rounds > 1000) {
+    std::fprintf(stderr, "--repetitions must be in [1, 1000], got %lld\n",
+                 static_cast<long long>(rounds));
+    return 1;
+  }
   const auto threads = exec::ParseThreadsFlag(flags.GetString("threads"));
   if (!threads.ok()) {
     std::fprintf(stderr, "%s\n", threads.status().ToString().c_str());
@@ -63,124 +320,111 @@ int Main(int argc, char** argv) {
   }
 
   telemetry::BenchReport report("ssb_figures");
-  report.SetConfig("scale_factor", sf);
-  report.SetConfig("repetitions", repetitions);
-  report.SetConfig("tuned", flags.GetBool("tune"));
+  report.SetConfig("scale_factors", flags.GetString("sf"));
+  report.SetConfig("queries", query_list);
+  report.SetConfig("points", flags.GetString("points"));
+  report.SetConfig("rounds", rounds);
   report.SetConfig("threads", static_cast<std::int64_t>(threads.value()));
+  report.SetConfig("verify", flags.GetBool("verify"));
+  report.SetConfig("host", CpuFeatures::Get().brand);
 
-  std::printf("== SSB figure harness (paper Figs. 8-10) ==\n");
-  std::printf("scale factor %.2f — generating data...\n", sf);
-  const ssb::SsbDatabase db = ssb::SsbDatabase::Generate(sf);
-  std::printf("database resident size: %.1f MiB, %zu lineorder rows\n",
-              static_cast<double>(db.TotalBytes()) / (1 << 20),
-              db.lineorder.n);
-
-  EngineConfig hybrid_cfg;
-  hybrid_cfg.flavor = Flavor::kHybrid;
-  if (flags.GetBool("tune")) {
-    std::printf("tuning hybrid kernels (offline phase)...\n");
-    // The paper's optimizer runs "predefined test queries" (§III-A), not
-    // synthetic proxies: tune the probe coordinate on a representative
-    // multi-join query end to end, and the gather on its standalone
-    // workload (gathers are uniform across queries).
-    QueryTuneOptions qopt;
-    qopt.initial_probe = hybrid_cfg.probe_cfg;
-    qopt.repetitions = 3;
-    const QueryTuneResult probe = TuneQueriesProbe(
-        db, {QueryId::kQ2_1, QueryId::kQ3_1, QueryId::kQ4_1}, qopt);
-    report.AddSection("probe_tune_trace", TuneTraceToJson(probe.search));
-    KernelTuneOptions gopt;
-    gopt.repetitions = 7;
-    gopt.elements = 1 << 18;
-    const TuneResult gather = TuneKernel(FindKernel("gather"), gopt);
-    hybrid_cfg.probe_cfg = probe.probe;
-    hybrid_cfg.gather_cfg = gather.best;
-    std::printf("  probe kernel:  %s (%d nodes, test queries "
-                "Q2.1/Q3.1/Q4.1)\n",
-                probe.probe.ToString().c_str(), probe.nodes_tested);
-    std::printf("  gather kernel: %s (%d nodes tested)\n",
-                gather.best.ToString().c_str(), gather.nodes_tested);
-  } else {
-    std::printf("using default hybrid coordinates %s\n",
-                hybrid_cfg.probe_cfg.ToString().c_str());
-  }
-
-  EngineConfig scalar_cfg;
-  scalar_cfg.flavor = Flavor::kScalar;
-  EngineConfig simd_cfg;
-  simd_cfg.flavor = Flavor::kSimd;
-
-  // Paper-exhibit timing: every repetition is a cold end-to-end run
-  // (join build + pipeline), so plan caching stays off here.
-  VoilaConfig voila_cfg;
-  voila_cfg.threads = threads.value();
-  voila_cfg.plan_cache = false;
-  for (EngineConfig* cfg : {&scalar_cfg, &simd_cfg, &hybrid_cfg}) {
-    cfg->threads = threads.value();
-    cfg->plan_cache = false;
-  }
-
-  SsbEngine scalar_engine(db, scalar_cfg);
-  SsbEngine simd_engine(db, simd_cfg);
-  SsbEngine hybrid_engine(db, hybrid_cfg);
-  VoilaEngine voila_engine(db, voila_cfg);
-
+  std::printf("== SSB exhibit harness (Figs. 8-10, Tables III-V, §VII) ==\n");
+  const std::size_t engines = 3 + points.size();
   PerfCounters counters;
-  TextTable table;
-  table.AddRow({"Query", "Scalar (ms)", "SIMD (ms)", "Voila (ms)",
-                "HEF (ms)", "HEF/Scalar", "HEF/SIMD", "HEF/Voila"});
+  std::vector<Cell> rows;
+  TextTable trend;
+  trend.AddRow({"SF", "HEF/Scalar", "HEF/SIMD", "HEF/Voila",
+                "HEF <= min(Scalar, SIMD)"});
+  for (const double sf : sfs) {
+    std::printf("\nscale factor %.2f — generating data...\n", sf);
+    const ssb::SsbDatabase db = ssb::SsbDatabase::Generate(sf);
 
-  const auto& queries =
-      flags.GetBool("all-queries") ? AllQueries() : PaperFigureQueries();
-  for (const QueryId query : queries) {
-    if (flags.GetBool("verify")) {
-      const QueryResult want = RunReferenceQuery(db, query);
-      HEF_CHECK_MSG(scalar_engine.Run(query) == want, "scalar mismatch");
-      HEF_CHECK_MSG(simd_engine.Run(query) == want, "simd mismatch");
-      HEF_CHECK_MSG(hybrid_engine.Run(query) == want, "hybrid mismatch");
-      HEF_CHECK_MSG(voila_engine.Run(query) == want, "voila mismatch");
-    }
-    const auto scalar = bench::MeasureBest(
-        [&] { scalar_engine.Run(query); }, repetitions, &counters);
-    const auto simd = bench::MeasureBest(
-        [&] { simd_engine.Run(query); }, repetitions, &counters);
-    const auto voila = bench::MeasureBest(
-        [&] { voila_engine.Run(query); }, repetitions, &counters);
-    const auto hybrid = bench::MeasureBest(
-        [&] { hybrid_engine.Run(query); }, repetitions, &counters);
-    const std::pair<const char*, const bench::Measurement*> measured[] = {
-        {"scalar", &scalar},
-        {"simd", &simd},
-        {"voila", &voila},
-        {"hybrid", &hybrid}};
-    for (const auto& [engine, m] : measured) {
-      auto& row = report.AddResult();
-      row.Set("query", QueryName(query))
-          .Set("engine", engine)
-          .Set("ms", m->ms)
-          .Set("median_ms", m->median_ms);
-      if (m->perf.valid) {
-        row.Set("instructions", m->perf.instructions)
-            .Set("ipc", m->perf.Ipc())
-            .Set("llc_misses", m->perf.llc_misses)
-            .Set("pmu_scaled", m->perf.scaled);
+    // Exhibit timing: every run is cold end to end (join build +
+    // pipeline), so plan caching stays off.
+    const auto config = [&](Flavor flavor) {
+      EngineConfig cfg;
+      cfg.flavor = flavor;
+      cfg.threads = threads.value();
+      cfg.plan_cache = false;
+      return cfg;
+    };
+    const EngineConfig global_cfg =
+        points == std::vector<std::string>{"default"}
+            ? config(Flavor::kHybrid)
+            : TuneGlobal(db, config(Flavor::kHybrid), sf, &report);
+    VoilaConfig voila_cfg;
+    voila_cfg.threads = threads.value();
+    voila_cfg.plan_cache = false;
+    SsbEngine scalar(db, config(Flavor::kScalar));
+    SsbEngine simd(db, config(Flavor::kSimd));
+    VoilaEngine voila(db, voila_cfg);
+    std::vector<std::unique_ptr<SsbEngine>> hybrids;
+
+    std::vector<Cell> cells;
+    for (const QueryId query : queries) {
+      const auto add = [&](const char* engine, const std::string& point,
+                           SsbEngine* e) {
+        const EngineConfig& cfg = e->config();
+        cells.push_back({sf, query, engine, point,
+                         "probe " + cfg.ProbeConfig().ToString() +
+                             " gather " + cfg.GatherConfig().ToString(),
+                         [e, query] { return e->Run(query); }});
+      };
+      add("scalar", "none", &scalar);
+      add("simd", "none", &simd);
+      cells.push_back({sf, query, "voila", "none", "none",
+                       [&voila, query] { return voila.Run(query); }});
+      for (const std::string& point : points) {
+        EngineConfig cfg =
+            point == "default" ? config(Flavor::kHybrid) : global_cfg;
+        if (point == "query") {
+          QueryTuneOptions qopt;
+          qopt.initial_probe = global_cfg.probe_cfg;
+          qopt.gather = global_cfg.gather_cfg;
+          qopt.repetitions = 3;
+          const QueryTuneResult tuned = TuneQueryProbe(db, query, qopt);
+          cfg.probe_cfg = tuned.probe;
+          std::printf("  %s query point: probe %s (%d nodes)\n",
+                      QueryName(query), tuned.probe.ToString().c_str(),
+                      tuned.nodes_tested);
+        }
+        hybrids.push_back(std::make_unique<SsbEngine>(db, cfg));
+        add("hybrid", point, hybrids.back().get());
       }
     }
-    table.AddRow({QueryName(query), TextTable::Num(scalar.ms, 1),
-                  TextTable::Num(simd.ms, 1), TextTable::Num(voila.ms, 1),
-                  TextTable::Num(hybrid.ms, 1),
-                  TextTable::Num(scalar.ms / hybrid.ms, 2) + "x",
-                  TextTable::Num(simd.ms / hybrid.ms, 2) + "x",
-                  TextTable::Num(voila.ms / hybrid.ms, 2) + "x"});
-    std::printf(".");
-    std::fflush(stdout);
+    std::printf("measuring %zu cells over %lld rounds", cells.size(),
+                static_cast<long long>(rounds));
+    if (!MeasureCells(db, flags.GetBool("verify"),
+                      static_cast<std::size_t>(rounds), engines, &counters,
+                      &cells)) {
+      return 1;
+    }
+    std::printf("\n\nSF %.2f, median over %lld rounds, ms (interquartile "
+                "range as a share of the median):\n%s\n",
+                sf, static_cast<long long>(rounds),
+                FigureTable(cells, points).c_str());
+    trend.AddRow(TrendRow(cells, engines));
+    rows.insert(rows.end(), cells.begin(), cells.end());
   }
-  std::printf("\n\n%s\n", flags.GetBool("csv") ? table.ToCsv().c_str()
-                                               : table.ToString().c_str());
   std::printf(
       "Paper shape (Figs. 8-10): HEF <= both pure flavours everywhere; "
       "HEF beats Voila at low selectivity (Q2.1, Q3.1, Q4.1/4.2), Voila "
       "competitive at very high selectivity (Q2.3, Q3.3, Q3.4).\n");
+  if (sfs.size() > 1) {
+    std::printf("\nScale trend (HEF = %s point, geomean over queries):\n%s\n",
+                points[0].c_str(), trend.ToString().c_str());
+  }
+  if (rows.front().counters.valid) {
+    for (std::size_t c = 0; c < rows.size(); c += engines) {
+      std::printf("\nTables III-V, %s at SF %.2f (median counters):\n%s\n",
+                  QueryName(rows[c].query), rows[c].sf,
+                  CounterTable(&rows[c], engines).c_str());
+    }
+  } else {
+    std::printf("\nTables III-V counters: n/a (%s)\n",
+                counters.error().c_str());
+  }
+  for (const Cell& cell : rows) ReportRow(cell, &report);
 
   const std::string json_path = flags.GetString("json");
   if (!json_path.empty()) {

@@ -69,7 +69,7 @@ int Main(int argc, char** argv) {
       const auto m = bench::MeasureBest([&] { engine.Run(query); },
                                         repetitions, &counters);
       table.AddRow({std::to_string(vec), TextTable::Num(m.ms, 1),
-                    bench::CountScaled(m.perf, m.perf.llc_misses, 1e6, 2)});
+                    bench::PerfNum(m.perf, m.perf.llc_misses / 1e6, 2)});
     }
     std::printf("vector-size sweep:\n%s\n", table.ToString().c_str());
   }
@@ -86,8 +86,8 @@ int Main(int argc, char** argv) {
     const auto m_off = bench::MeasureBest([&] { engine_off.Run(query); },
                                           repetitions, &counters);
     table.AddRow({"off", "-", TextTable::Num(m_off.ms, 1),
-                  bench::CountScaled(m_off.perf, m_off.perf.llc_misses, 1e6,
-                                     2)});
+                  bench::PerfNum(m_off.perf, m_off.perf.llc_misses / 1e6,
+                                 2)});
     for (int group : {4, 16, 64}) {
       VoilaConfig config;
       config.prefetch_group = group;
@@ -97,7 +97,7 @@ int Main(int argc, char** argv) {
       const auto m = bench::MeasureBest([&] { engine.Run(query); },
                                         repetitions, &counters);
       table.AddRow({"on", std::to_string(group), TextTable::Num(m.ms, 1),
-                    bench::CountScaled(m.perf, m.perf.llc_misses, 1e6, 2)});
+                    bench::PerfNum(m.perf, m.perf.llc_misses / 1e6, 2)});
     }
     std::printf("prefetch sweep:\n%s\n", table.ToString().c_str());
   }

@@ -11,24 +11,12 @@ constexpr int kMaxS = 4;
 constexpr int kMaxP = 4;
 
 using SumGrid = HybridReduceGrid<SumKernel, kMaxV, kMaxS, kMaxP>;
-using MinGrid = HybridReduceGrid<MinKernel, kMaxV, kMaxS, kMaxP>;
-using MaxGrid = HybridReduceGrid<MaxKernel, kMaxV, kMaxS, kMaxP>;
 
 }  // namespace
 
 std::uint64_t SumArray(const HybridConfig& cfg, const std::uint64_t* in,
                        std::size_t n) {
   return SumGrid::Run(cfg, SumKernel{}, in, n);
-}
-
-std::uint64_t MinArray(const HybridConfig& cfg, const std::uint64_t* in,
-                       std::size_t n) {
-  return MinGrid::Run(cfg, MinKernel{}, in, n);
-}
-
-std::uint64_t MaxArray(const HybridConfig& cfg, const std::uint64_t* in,
-                       std::size_t n) {
-  return MaxGrid::Run(cfg, MaxKernel{}, in, n);
 }
 
 const std::vector<HybridConfig>& ReduceSupportedConfigs() {

@@ -1,5 +1,4 @@
-// Hybrid aggregation kernels: sum / min / max over 64-bit columns, plus a
-// fused multiply-sum over two columns (SSB Q1's revenue expression).
+// Hybrid aggregation kernel: sum over a 64-bit column.
 // Aggregations are one of the operator classes the paper's SIMD related
 // work targets; expressed against the HID they get the same (v, s, p)
 // treatment — every instance carries its own accumulator, so packing
@@ -18,7 +17,7 @@
 
 namespace hef {
 
-// Reduction kernel concept implementations (see hybrid_reducer.h).
+// Reduction kernel concept implementation (see hybrid_reducer.h).
 struct SumKernel {
   template <typename B>
   struct State {
@@ -47,74 +46,12 @@ struct SumKernel {
   }
 };
 
-struct MinKernel {
-  template <typename B>
-  struct State {
-    typename B::Reg acc;
-  };
-  template <typename B>
-  HEF_INLINE void Init(State<B>& st) const {
-    st.acc = B::Set1(~0ULL);
-  }
-  template <typename B>
-  HEF_INLINE void Accumulate(State<B>& st, const std::uint64_t* in) const {
-    const auto x = B::LoadU(in);
-    st.acc = B::Blend(B::CmpGt(st.acc, x), st.acc, x);
-  }
-  template <typename B>
-  HEF_INLINE std::uint64_t Reduce(const State<B>& st) const {
-    std::uint64_t best = ~0ULL;
-    for (int i = 0; i < B::kLanes; ++i) {
-      const std::uint64_t lane = B::Lane(st.acc, i);
-      if (lane < best) best = lane;
-    }
-    return best;
-  }
-  static std::uint64_t Combine(std::uint64_t a, std::uint64_t b) {
-    return a < b ? a : b;
-  }
-  static std::uint64_t Identity() { return ~0ULL; }
-};
-
-struct MaxKernel {
-  template <typename B>
-  struct State {
-    typename B::Reg acc;
-  };
-  template <typename B>
-  HEF_INLINE void Init(State<B>& st) const {
-    st.acc = B::Set1(0);
-  }
-  template <typename B>
-  HEF_INLINE void Accumulate(State<B>& st, const std::uint64_t* in) const {
-    const auto x = B::LoadU(in);
-    st.acc = B::Blend(B::CmpGt(x, st.acc), st.acc, x);
-  }
-  template <typename B>
-  HEF_INLINE std::uint64_t Reduce(const State<B>& st) const {
-    std::uint64_t best = 0;
-    for (int i = 0; i < B::kLanes; ++i) {
-      const std::uint64_t lane = B::Lane(st.acc, i);
-      if (lane > best) best = lane;
-    }
-    return best;
-  }
-  static std::uint64_t Combine(std::uint64_t a, std::uint64_t b) {
-    return a > b ? a : b;
-  }
-  static std::uint64_t Identity() { return 0; }
-};
-
 // sum(in[i]) under implementation `cfg` (wrap-around on overflow, like the
 // scalar loop it replaces).
 std::uint64_t SumArray(const HybridConfig& cfg, const std::uint64_t* in,
                        std::size_t n);
-std::uint64_t MinArray(const HybridConfig& cfg, const std::uint64_t* in,
-                       std::size_t n);
-std::uint64_t MaxArray(const HybridConfig& cfg, const std::uint64_t* in,
-                       std::size_t n);
 
-// All (v, s, p) coordinates precompiled for the reduction kernels.
+// All (v, s, p) coordinates precompiled for the sum kernel.
 const std::vector<HybridConfig>& ReduceSupportedConfigs();
 
 }  // namespace hef

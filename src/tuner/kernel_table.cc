@@ -401,9 +401,9 @@ void ApplyTuningCache(const std::string& path, EngineConfig* engine,
   TuningCache cache(path);
   const Status loaded = cache.Load();
   WarnTuningCache("load", loaded);
-  // Nothing to apply: leave the table (and the kernel grids it pulls in)
-  // unbuilt.
-  if (!loaded.ok() || cache.size() == 0) return;
+  // A bad line drops only itself, so apply whatever loaded. Nothing to
+  // apply: leave the table (and the kernel grids it pulls in) unbuilt.
+  if (cache.size() == 0) return;
   std::string applied;
   for (const KernelEntry& entry : KernelTable()) {
     if (entry.engine_field == nullptr) continue;

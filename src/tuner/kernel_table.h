@@ -109,8 +109,9 @@ std::vector<std::pair<const KernelEntry*, TuneResult>> TuneEnginePoints(
 // The one loader of tuned points. Loads the cache at `path` and, for
 // every entry with an engine field, validates the cached point against
 // the entry's grid, sets the field and registers the point's predicted
-// cost with the drift sentinel. Load failures and out-of-grid points are
-// warned about on stderr and leave the defaults; the applied points are
+// cost with the drift sentinel. A bad cache line or an out-of-grid point
+// is warned about on stderr and leaves that field's default (a bad header
+// drops the whole file); the applied points are
 // listed on `out` ("using cached tuning: probe v1s1p3, gather v1s0p1").
 void ApplyTuningCache(const std::string& path, EngineConfig* engine,
                       std::FILE* out);

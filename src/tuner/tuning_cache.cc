@@ -51,34 +51,40 @@ Status TuningCache::Load() {
     host_mismatch_ = true;
     return Status::OK();  // tuned elsewhere: start fresh
   }
+  // A bad line drops only itself: every valid line still loads, and the
+  // first bad one is reported.
+  Status first_error;
+  const auto bad = [&](const std::string& why) {
+    if (first_error.ok()) first_error = Status::IoError(why);
+  };
   int line_no = 2;
   while (std::getline(file, line)) {
     ++line_no;
     if (line.empty()) continue;
+    const std::string where =
+        "tuning cache line " + std::to_string(line_no) + " in " + path_;
     std::istringstream in(line);
     std::string keyword, op, cfg_text, seconds_text, ns_text;
     if (!(in >> keyword >> op >> cfg_text >> seconds_text) ||
         keyword != "op") {
-      return Status::IoError("malformed tuning cache line " +
-                             std::to_string(line_no) + " in " + path_);
+      bad("malformed " + where);
+      continue;
     }
     in >> ns_text;  // absent in pre-drift caches: 3 columns
     double seconds = 0, ns_per_row = 0;
     if (!ParseCost(seconds_text, &seconds) ||
         (!ns_text.empty() && !ParseCost(ns_text, &ns_per_row))) {
-      return Status::IoError("bad cost on tuning cache line " +
-                             std::to_string(line_no) + " in " + path_ +
-                             " (must be finite and >= 0)");
+      bad("bad cost on " + where + " (must be finite and >= 0)");
+      continue;
     }
     auto cfg = HybridConfig::Parse(cfg_text);
     if (!cfg.ok()) {
-      return Status::IoError("bad config on line " +
-                             std::to_string(line_no) + ": " +
-                             cfg.status().message());
+      bad("bad config on " + where + ": " + cfg.status().message());
+      continue;
     }
     entries_[op] = Entry{cfg.value(), seconds, ns_per_row};
   }
-  return Status::OK();
+  return first_error;
 }
 
 Status TuningCache::Save() const {

@@ -43,8 +43,10 @@ class TuningCache {
 
   // Loads the cache file. A missing file yields an empty cache (OK); a
   // file recorded on a different host yields an empty cache and sets
-  // host_mismatch(). Malformed files — including a negative or
-  // non-finite seconds / ns_per_row — are IoError.
+  // host_mismatch(). A bad header is IoError and loads nothing. A bad
+  // `op` line — malformed, a bad config, or a negative or non-finite
+  // seconds / ns_per_row — drops only itself: every valid line loads and
+  // the first bad line is returned as IoError.
   Status Load();
 
   // Writes all entries atomically (temp file + rename).

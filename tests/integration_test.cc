@@ -132,24 +132,34 @@ TEST(WorkflowTest, OutOfGridCachedPointKeepsTheDefault) {
         << QueryName(query);
   }
 
-  // A point whose number does not fit an int is refused when the cache is
-  // read, with a warning naming it; the engine keeps its defaults.
-  {
-    TuningCache cache(cache_path);
-    cache.Put("gather", HybridConfig{2, 0, 1}, 1e-3, 0.5);
-    ASSERT_TRUE(cache.Save().ok());
-    std::FILE* f = std::fopen(cache_path.c_str(), "a");
-    ASSERT_NE(f, nullptr);
-    std::fputs("op probe v1s1p99999999999 0.001 5.0\n", f);
-    std::fclose(f);
+  // A line the reader refuses — a number that does not fit an int, or a
+  // malformed point — drops only itself, with a warning naming it; the
+  // valid gather line still applies and the probe keeps its default.
+  for (const char* bad_line : {"op probe v1s1p99999999999 0.001 5.0\n",
+                               "op probe v1s1pX 0.001 5.0\n"}) {
+    {
+      TuningCache cache(cache_path);
+      cache.Put("gather", HybridConfig{2, 0, 1}, 1e-3, 0.5);
+      ASSERT_TRUE(cache.Save().ok());
+      std::FILE* f = std::fopen(cache_path.c_str(), "a");
+      ASSERT_NE(f, nullptr);
+      std::fputs(bad_line, f);
+      std::fclose(f);
+    }
+    EngineConfig loaded;
+    loaded.flavor = Flavor::kHybrid;
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(ApplyCache(cache_path, &loaded),
+              "using cached tuning: gather v2s0p1\n")
+        << bad_line;
+    const std::string warning = ::testing::internal::GetCapturedStderr();
+    const std::string line(bad_line);
+    const std::string cfg_text = line.substr(9, line.find(' ', 9) - 9);
+    EXPECT_NE(warning.find("line 4"), std::string::npos) << warning;
+    EXPECT_NE(warning.find(cfg_text), std::string::npos) << warning;
+    EXPECT_EQ(loaded.probe_cfg, default_probe);
+    EXPECT_EQ(loaded.gather_cfg, (HybridConfig{2, 0, 1}));
   }
-  EngineConfig overflow;
-  overflow.flavor = Flavor::kHybrid;
-  ::testing::internal::CaptureStderr();
-  EXPECT_EQ(ApplyCache(cache_path, &overflow), "");
-  const std::string warning = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(warning.find("v1s1p99999999999"), std::string::npos) << warning;
-  EXPECT_EQ(overflow.probe_cfg, default_probe);
   std::remove(cache_path.c_str());
 }
 

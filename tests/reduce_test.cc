@@ -1,12 +1,10 @@
-// Tests for the hybrid reduction combinator and the sum/min/max kernels:
+// Tests for the hybrid reduction combinator and the sum kernel:
 // every (v, s, p) instantiation must equal the sequential fold, for all
 // input sizes including tails and empty inputs.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <numeric>
 
 #include "algo/reduce.h"
 #include "common/aligned_buffer.h"
@@ -45,20 +43,6 @@ TEST_P(ReduceConfigTest, SumWrapsOnOverflowLikeScalar) {
   EXPECT_EQ(SumArray(cfg, in.data(), n), expect) << cfg.ToString();
 }
 
-TEST_P(ReduceConfigTest, MinMaxMatchStdAlgorithms) {
-  const HybridConfig cfg = GetParam();
-  Rng rng(33);
-  const std::size_t n = 2057;
-  AlignedBuffer<std::uint64_t> in(n, 256);
-  for (std::size_t i = 0; i < n; ++i) in[i] = rng.Next();
-  EXPECT_EQ(MinArray(cfg, in.data(), n),
-            *std::min_element(in.begin(), in.end()))
-      << cfg.ToString();
-  EXPECT_EQ(MaxArray(cfg, in.data(), n),
-            *std::max_element(in.begin(), in.end()))
-      << cfg.ToString();
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllConfigs, ReduceConfigTest,
     ::testing::ValuesIn(ReduceSupportedConfigs()),
@@ -69,8 +53,6 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ReduceEdgeTest, EmptyInputsYieldIdentities) {
   const HybridConfig cfg{1, 1, 1};
   EXPECT_EQ(SumArray(cfg, nullptr, 0), 0u);
-  EXPECT_EQ(MinArray(cfg, nullptr, 0), ~0ULL);
-  EXPECT_EQ(MaxArray(cfg, nullptr, 0), 0u);
 }
 
 }  // namespace

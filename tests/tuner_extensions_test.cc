@@ -117,15 +117,25 @@ TEST_F(TuningCacheTest, ForeignHostCacheIsIgnored) {
 }
 
 TEST_F(TuningCacheTest, MalformedEntryIsError) {
+  // The bad lines are reported, and drop only themselves.
   TuningCache writer(path_);
-  ASSERT_TRUE(writer.Save().ok());  // valid header, no entries
+  writer.Put("gather", HybridConfig{2, 0, 1}, 0.001);
+  ASSERT_TRUE(writer.Save().ok());  // header lines 1-2, gather on line 3
   {
     FILE* f = std::fopen(path_.c_str(), "a");
-    std::fputs("op broken_line\n", f);
+    std::fputs("op broken_line\nop probe v1s1pX 0.001\n"
+               "op sum v1s1p2 0.002\n",
+               f);
     std::fclose(f);
   }
   TuningCache cache(path_);
-  EXPECT_FALSE(cache.Load().ok());
+  const Status st = cache.Load();
+  EXPECT_EQ(st.code(), StatusCode::kIoError);
+  EXPECT_NE(st.message().find("line 4"), std::string::npos) << st.message();
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.Get("gather").value().config, (HybridConfig{2, 0, 1}));
+  EXPECT_EQ(cache.Get("sum").value().config, (HybridConfig{1, 1, 2}));
+  EXPECT_FALSE(cache.Contains("probe"));
 }
 
 TEST_F(TuningCacheTest, HugeCostSavesWholeLinesThatLoadBack) {
