@@ -12,6 +12,7 @@
 
 #include "common/macros.h"
 #include "common/stopwatch.h"
+#include "engine/query_id.h"
 #include "perf/perf_counters.h"
 
 namespace hef::bench {
@@ -66,6 +67,44 @@ inline Measurement MeasureBest(const std::function<void()>& fn,
   std::sort(sorted.begin(), sorted.end());
   best.median_ms = Quantile(sorted, 0.5);
   return best;
+}
+
+// Parses the comma list `text` item by item. A refused or repeated item
+// is a usage error naming the flag, caught before any database exists.
+template <typename T, typename Parse>
+bool ParseList(const char* flag, const char* want, const std::string& text,
+               const Parse& parse, std::vector<T>* out) {
+  for (std::size_t begin = 0;;) {
+    const std::size_t end = std::min(text.find(',', begin), text.size());
+    T value{};
+    if (!parse(text.substr(begin, end - begin), &value) ||
+        std::count(out->begin(), out->end(), value) != 0) {
+      std::fprintf(stderr, "--%s must be %s, got '%s'\n", flag, want,
+                   text.c_str());
+      return false;
+    }
+    out->push_back(value);
+    if (end == text.size()) return true;
+    begin = end + 1;
+  }
+}
+
+// Parses a --queries flag: figures (the paper's ten, Q2.1-Q4.3), all, or
+// a comma list of distinct SSB queries such as 2.1,4.3.
+inline bool ParseQueries(const std::string& text, std::vector<QueryId>* out) {
+  if (text == "figures" || text == "all") {
+    *out = text == "all" ? AllQueries() : PaperFigureQueries();
+    return true;
+  }
+  const auto parse = [](const std::string& item, QueryId* id) {
+    const Result<QueryId> parsed = ParseQueryId(item);
+    if (parsed.ok()) *id = parsed.value();
+    return parsed.ok();
+  };
+  return ParseList("queries",
+                   "figures, all or a comma list of distinct SSB queries "
+                   "such as 2.1,4.3",
+                   text, parse, out);
 }
 
 // Formats a counter column (e.g. a count / 1e6), "n/a" when the PMU was

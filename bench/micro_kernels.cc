@@ -216,15 +216,15 @@ void BM_LateDecode(benchmark::State& state) {
   scratch.EnsureCapacity(kBlock);
   EngineConfig config;
   config.flavor = state.range(3) == 0 ? Flavor::kHybrid : Flavor::kScalar;
-  const HybridConfig decode_cfg = config.DecodeConfig();
-  const HybridConfig gather_cfg = config.GatherConfig();
+  const HybridConfig decode = config.PointFor(EngineKernel::kUnpackBits);
+  const HybridConfig gather = config.PointFor(EngineKernel::kGather);
   const std::size_t b0 = 8 * kBlock;  // mid-chunk
   for (auto _ : state) {
     if (survivors_only) {
-      col.DecodeAt(decode_cfg, b0, pos.data(), n, scratch, out.data());
+      col.DecodeAt(decode, b0, pos.data(), n, scratch, out.data());
     } else {
-      col.DecodeRange(decode_cfg, b0, kBlock, scratch, block.data());
-      GatherArray(gather_cfg, block.data(), pos.data(), out.data(), n);
+      col.DecodeRange(decode, b0, kBlock, scratch, block.data());
+      GatherArray(gather, block.data(), pos.data(), out.data(), n);
     }
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();

@@ -59,26 +59,6 @@ struct Cell {
   PerfReading counters{};  // those of the round at the (upper) median
 };
 
-// Parses the comma list `text` item by item. A refused or repeated item
-// is a usage error naming the flag, caught before any database exists.
-template <typename T, typename Parse>
-bool ParseList(const char* flag, const char* want, const std::string& text,
-               const Parse& parse, std::vector<T>* out) {
-  for (std::size_t begin = 0;;) {
-    const std::size_t end = std::min(text.find(',', begin), text.size());
-    T value{};
-    if (!parse(text.substr(begin, end - begin), &value) ||
-        std::count(out->begin(), out->end(), value) != 0) {
-      std::fprintf(stderr, "--%s must be %s, got '%s'\n", flag, want,
-                   text.c_str());
-      return false;
-    }
-    out->push_back(value);
-    if (end == text.size()) return true;
-    begin = end + 1;
-  }
-}
-
 // The global point: the paper's offline phase runs "predefined test
 // queries" (§III-A), not synthetic proxies. The probe is tuned end to end
 // on representative multi-join queries, the gather on its standalone
@@ -87,7 +67,7 @@ EngineConfig TuneGlobal(const ssb::SsbDatabase& db, EngineConfig cfg,
                         double sf, telemetry::BenchReport* report) {
   std::printf("tuning hybrid kernels (offline phase)...\n");
   QueryTuneOptions qopt;
-  qopt.initial_probe = cfg.probe_cfg;
+  qopt.initial_probe = cfg.points.probe;
   qopt.repetitions = 3;
   const QueryTuneResult probe = TuneQueriesProbe(
       db, {QueryId::kQ2_1, QueryId::kQ3_1, QueryId::kQ4_1}, qopt);
@@ -97,8 +77,8 @@ EngineConfig TuneGlobal(const ssb::SsbDatabase& db, EngineConfig cfg,
   gopt.repetitions = 7;
   gopt.elements = 1 << 18;
   const TuneResult gather = TuneKernel(FindKernel("gather"), gopt);
-  cfg.probe_cfg = probe.probe;
-  cfg.gather_cfg = gather.best;
+  cfg.points.probe = probe.probe;
+  cfg.points.gather = gather.best;
   std::printf("  probe kernel:  %s (%d nodes, test queries "
               "Q2.1/Q3.1/Q4.1)\n  gather kernel: %s (%d nodes tested)\n",
               probe.probe.ToString().c_str(), probe.nodes_tested,
@@ -283,28 +263,20 @@ int Main(int argc, char** argv) {
     *out = std::strtod(item.c_str(), &end);
     return !item.empty() && *end == '\0' && *out > 0 && std::isfinite(*out);
   };
-  const auto parse_query = [](const std::string& item, QueryId* out) {
-    const Result<QueryId> id = ParseQueryId(item);
-    if (id.ok()) *out = id.value();
-    return id.ok();
-  };
   const auto parse_point = [](const std::string& item, std::string* out) {
     *out = item;
     return std::count(kPoints.begin(), kPoints.end(), item) != 0;
   };
   const std::string query_list = flags.GetString("queries");
-  if (query_list == "figures" || query_list == "all") {
-    queries = query_list == "all" ? AllQueries() : PaperFigureQueries();
-  } else if (!ParseList("queries", "figures, all or a comma list of "
-                        "distinct SSB queries such as 2.1,4.3",
-                        query_list, parse_query, &queries)) {
-    return 1;
-  }
-  if (!ParseList("sf", "a comma list of distinct positive finite scale "
-                 "factors", flags.GetString("sf"), parse_sf, &sfs) ||
-      !ParseList("points", "a comma list of distinct points from default, "
-                 "global, query", flags.GetString("points"), parse_point,
-                 &points)) {
+  if (!bench::ParseQueries(query_list, &queries) ||
+      !bench::ParseList("sf",
+                        "a comma list of distinct positive finite scale "
+                        "factors",
+                        flags.GetString("sf"), parse_sf, &sfs) ||
+      !bench::ParseList("points",
+                        "a comma list of distinct points from default, "
+                        "global, query",
+                        flags.GetString("points"), parse_point, &points)) {
     return 1;
   }
   const std::int64_t rounds = flags.GetInt64("repetitions");
@@ -366,8 +338,10 @@ int Main(int argc, char** argv) {
                            SsbEngine* e) {
         const EngineConfig& cfg = e->config();
         cells.push_back({sf, query, engine, point,
-                         "probe " + cfg.ProbeConfig().ToString() +
-                             " gather " + cfg.GatherConfig().ToString(),
+                         "probe " +
+                             cfg.PointFor(EngineKernel::kProbe).ToString() +
+                             " gather " +
+                             cfg.PointFor(EngineKernel::kGather).ToString(),
                          [e, query] { return e->Run(query); }});
       };
       add("scalar", "none", &scalar);
@@ -379,11 +353,11 @@ int Main(int argc, char** argv) {
             point == "default" ? config(Flavor::kHybrid) : global_cfg;
         if (point == "query") {
           QueryTuneOptions qopt;
-          qopt.initial_probe = global_cfg.probe_cfg;
-          qopt.gather = global_cfg.gather_cfg;
+          qopt.initial_probe = global_cfg.points.probe;
+          qopt.gather = global_cfg.points.gather;
           qopt.repetitions = 3;
           const QueryTuneResult tuned = TuneQueryProbe(db, query, qopt);
-          cfg.probe_cfg = tuned.probe;
+          cfg.points.probe = tuned.probe;
           std::printf("  %s query point: probe %s (%d nodes)\n",
                       QueryName(query), tuned.probe.ToString().c_str(),
                       tuned.nodes_tested);

@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/flags.h"
 #include "common/macros.h"
 #include "common/rng.h"
@@ -57,24 +58,6 @@
 
 namespace hef {
 namespace {
-
-std::vector<QueryId> ParseMix(const std::string& text) {
-  if (text == "all") return AllQueries();
-  if (text == "figures") return PaperFigureQueries();
-  std::vector<QueryId> mix;
-  std::string item;
-  for (std::size_t i = 0; i <= text.size(); ++i) {
-    if (i < text.size() && text[i] != ',') {
-      item += text[i];
-      continue;
-    }
-    const auto id = ParseQueryId(item);
-    HEF_CHECK_MSG(id.ok(), "bad query '%s' in --queries", item.c_str());
-    mix.push_back(id.value());
-    item.clear();
-  }
-  return mix;
-}
 
 // Latencies are recorded into log-linear histograms in microseconds
 // (integer ticks fine enough that the <=6.25% bucket width dominates the
@@ -221,19 +204,20 @@ int Main(int argc, char** argv) {
   }
 
   const double sf = flags.GetDouble("sf");
+  if (!PositiveFinite("sf", sf)) return 1;
+  std::vector<QueryId> mix;
+  if (!bench::ParseQueries(flags.GetString("queries"), &mix)) return 1;
   const double duration = flags.GetDouble("duration");
   const auto warmup = static_cast<int>(flags.GetInt64("warmup"));
   const bool cold_plans = flags.GetBool("cold_plans");
   const double deadline_ms = flags.GetDouble("deadline_ms");
   const auto max_retries = static_cast<int>(flags.GetInt64("max_retries"));
   std::string flavor_name = flags.GetString("flavor");
-  const std::vector<QueryId> mix = ParseMix(flags.GetString("queries"));
   const auto threads = exec::ParseThreadsFlag(flags.GetString("threads"));
   if (!threads.ok()) {
     std::fprintf(stderr, "%s\n", threads.status().ToString().c_str());
     return 1;
   }
-  HEF_CHECK_MSG(!mix.empty(), "empty query mix");
 
   const std::string encoding = flags.GetString("encoding");
   const bool pruning = flags.GetBool("pruning");

@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -172,6 +173,13 @@ void FlagParser::PrintUsage(const char* program) const {
     std::fprintf(stderr, "  --%-20s %s (default: %s)\n", name.c_str(),
                  flag.help.c_str(), flag.value.c_str());
   }
+}
+
+bool PositiveFinite(const char* flag, double value) {
+  if (value > 0 && std::isfinite(value)) return true;
+  std::fprintf(stderr, "--%s must be a positive finite number, got %g\n",
+               flag, value);
+  return false;
 }
 
 }  // namespace hef

@@ -58,6 +58,11 @@ class FlagParser {
   bool help_requested_ = false;
 };
 
+// A hostile number is a usage error naming the flag, caught before any
+// database is built or thread started: the layers below abort on it.
+// False, after printing "--<flag> must be …", unless value > 0 and finite.
+bool PositiveFinite(const char* flag, double value);
+
 }  // namespace hef
 
 #endif  // HEF_COMMON_FLAGS_H_

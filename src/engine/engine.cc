@@ -28,6 +28,20 @@ std::uint64_t SaturatingDelta(std::uint64_t after, std::uint64_t before) {
   return after > before ? after - before : 0;
 }
 
+// The kernels ChunkedColumn runs to decode a packed chunk: one bit-unpack
+// for its codes, then FoR-add or a dictionary gather for its values. A
+// width-0 chunk is filled without a kernel; a plain chunk is read in place
+// and never decoded.
+KernelSet DecodeKernels(const storage::ColumnChunk& chunk, bool values) {
+  HEF_DCHECK(chunk.encoding != storage::Encoding::kPlain);
+  if (chunk.width == 0) return 0;
+  const EngineKernel to_values = chunk.encoding == storage::Encoding::kFor
+                                     ? EngineKernel::kForAdd
+                                     : EngineKernel::kDictGather;
+  return KernelBit(EngineKernel::kUnpackBits) |
+         (values ? KernelBit(to_values) : 0);
+}
+
 }  // namespace
 
 struct SsbEngine::Impl {
@@ -130,14 +144,14 @@ struct SsbEngine::Impl {
   };
 
   // One executing thread's per-Run scan state, set up once before its
-  // first block: its buffers and PMU group, the kernel coordinates the
-  // flavour resolves to, and (chunked scan) each distinct plan column
-  // resolved to its chunked shadow, and the count of values this thread
-  // decoded.
+  // first block: its buffers and PMU group, the kernel points PointFor
+  // resolves (`decode` serves all three chunk-decode kernels), and
+  // (chunked scan) each distinct plan column resolved to its chunked
+  // shadow, and the count of values this thread decoded.
   struct ScanThread {
     Buffers& buf;
     const PerfCounters* pmu;
-    HybridConfig probe_cfg, gather_cfg, decode_cfg;
+    HybridConfig bloom, probe, gather, decode;
     const ssb::ChunkedFact* chunked = nullptr;
     std::array<DecodedCol, 8> dcols{};
     std::size_t n_dcols = 0;
@@ -146,8 +160,10 @@ struct SsbEngine::Impl {
 
   ScanThread PrepareScan(const StarPlan& plan, Buffers& buf,
                          const PerfCounters* pmu) const {
-    ScanThread t{buf, pmu, config.ProbeConfig(), config.GatherConfig(),
-                 config.DecodeConfig()};
+    ScanThread t{buf, pmu, config.PointFor(EngineKernel::kBloom),
+                 config.PointFor(EngineKernel::kProbe),
+                 config.PointFor(EngineKernel::kGather),
+                 config.PointFor(EngineKernel::kUnpackBits)};
     t.chunked = config.chunked_scan ? db.chunked.get() : nullptr;
     if (t.chunked == nullptr) return t;
     const auto block = static_cast<std::size_t>(config.block_size);
@@ -189,17 +205,15 @@ struct SsbEngine::Impl {
   // the selection is still the identity is decoded whole once, and every
   // other column is decoded at the surviving rows only.
   //
-  // When acc.ops is non-empty, per-operator wall time / row counts are
-  // accumulated into it (layout: filters, then probes, then group-by,
-  // then decode); a non-null t.pmu additionally brackets every operator
-  // with group reads so counter deltas attribute to operators. Both off
-  // on the default path, which then pays nothing beyond a branch per
-  // operator per block.
+  // When acc.ops is non-empty, per-operator wall time / row counts and
+  // the kernels each operator called are accumulated into it (layout:
+  // filters, then probes, then group-by, then decode); a non-null t.pmu
+  // additionally brackets every operator with group reads so counter
+  // deltas attribute to operators. All off on the default path, which
+  // then pays nothing beyond a branch per operator or kernel per block.
   void ExecuteBlock(const StarPlan& plan, ScanThread& t, std::size_t b0,
                     std::size_t bn, BlockAccumulator& acc,
                     telemetry::Histogram* block_rows_hist) const {
-    const HybridConfig& probe_cfg = t.probe_cfg;
-    const HybridConfig& gather_cfg = t.gather_cfg;
     const Flavor flavor = config.flavor;
     const PerfCounters* pmu = t.pmu;
     Buffers& buf = t.buf;
@@ -228,11 +242,31 @@ struct SsbEngine::Impl {
     std::uint64_t op_t0 = 0;
     PerfReading op_p0;
     OpAcc nested;  // decode spent inside the open operator window
+    KernelSet op_kernels = 0;  // kernels the open operator window called
+    auto ran = [&](EngineKernel k) { if (stats) op_kernels |= KernelBit(k); };
+    // open_window starts a window at (t0, p0); `window` gives its deltas.
+    auto open_window = [&](std::uint64_t& t0, PerfReading& p0) {
+      if (pmu != nullptr) p0 = pmu->ReadNow();
+      t0 = MonotonicNanos();
+    };
     auto op_begin = [&] {
       if (!stats) return;
       nested = OpAcc();
-      if (pmu != nullptr) op_p0 = pmu->ReadNow();
-      op_t0 = MonotonicNanos();
+      op_kernels = 0;
+      open_window(op_t0, op_p0);
+    };
+    auto window = [&](std::uint64_t t0, const PerfReading& p0) {
+      OpAcc w;
+      w.nanos = MonotonicNanos() - t0;
+      const PerfReading p1 = pmu != nullptr ? pmu->ReadNow() : PerfReading();
+      if (p1.valid && p0.valid) {
+        w.instructions = SaturatingDelta(p1.instructions, p0.instructions);
+        w.cycles = SaturatingDelta(p1.cycles, p0.cycles);
+        w.llc_misses = SaturatingDelta(p1.llc_misses, p0.llc_misses);
+        w.pmu_valid = true;
+        w.pmu_scaled = p1.scaled;
+      }
+      return w;
     };
     // `count_call == false` folds the window's time into the operator
     // without counting an activation or rows (used for shared tail work
@@ -240,58 +274,35 @@ struct SsbEngine::Impl {
     auto op_end = [&](std::size_t idx, std::uint64_t in_rows,
                       std::uint64_t out_rows, bool count_call = true) {
       if (!stats) return;
-      OpAcc& a = acc.ops[idx];
-      a.nanos += SaturatingDelta(MonotonicNanos() - op_t0, nested.nanos);
+      OpAcc w = window(op_t0, op_p0);
+      w.nanos = SaturatingDelta(w.nanos, nested.nanos);
+      w.instructions = SaturatingDelta(w.instructions, nested.instructions);
+      w.cycles = SaturatingDelta(w.cycles, nested.cycles);
+      w.llc_misses = SaturatingDelta(w.llc_misses, nested.llc_misses);
+      w.kernels = op_kernels;
       if (count_call) {
-        ++a.calls;
-        a.rows_in += in_rows;
-        a.rows_out += out_rows;
+        w.calls = 1;
+        w.rows_in = in_rows;
+        w.rows_out = out_rows;
       }
-      if (pmu != nullptr) {
-        const PerfReading p1 = pmu->ReadNow();
-        if (p1.valid && op_p0.valid) {
-          a.instructions += SaturatingDelta(
-              SaturatingDelta(p1.instructions, op_p0.instructions),
-              nested.instructions);
-          a.cycles += SaturatingDelta(SaturatingDelta(p1.cycles, op_p0.cycles),
-                                      nested.cycles);
-          a.llc_misses += SaturatingDelta(
-              SaturatingDelta(p1.llc_misses, op_p0.llc_misses),
-              nested.llc_misses);
-          a.pmu_valid = true;
-          a.pmu_scaled = a.pmu_scaled || p1.scaled;
-        }
-      }
+      acc.ops[idx].Merge(w);
     };
     const std::size_t probe_acc_base = plan.filters.size();
     const std::size_t groupby_acc = probe_acc_base + plan.joins.size();
     const std::size_t decode_acc = groupby_acc + 1;
     std::uint64_t dec_t0 = 0;
     PerfReading dec_p0;
-    auto decode_begin = [&] {
-      if (!stats) return;
-      if (pmu != nullptr) dec_p0 = pmu->ReadNow();
-      dec_t0 = MonotonicNanos();
-    };
-    auto decode_end = [&](std::uint64_t values) {
+    auto decode_begin = [&] { if (stats) open_window(dec_t0, dec_p0); };
+    // `to_values` is false when only the codes were unpacked.
+    auto decode_end = [&](std::uint64_t values,
+                          const storage::ChunkedColumn& col, bool to_values) {
       t.values_decoded += values;
       if (!stats) return;
-      OpAcc d;
-      d.nanos = MonotonicNanos() - dec_t0;
+      OpAcc d = window(dec_t0, dec_p0);
       d.calls = 1;
       d.rows_in = values;
       d.rows_out = values;
-      if (pmu != nullptr) {
-        const PerfReading p1 = pmu->ReadNow();
-        if (p1.valid && dec_p0.valid) {
-          d.instructions =
-              SaturatingDelta(p1.instructions, dec_p0.instructions);
-          d.cycles = SaturatingDelta(p1.cycles, dec_p0.cycles);
-          d.llc_misses = SaturatingDelta(p1.llc_misses, dec_p0.llc_misses);
-          d.pmu_valid = true;
-          d.pmu_scaled = p1.scaled;
-        }
-      }
+      d.kernels = DecodeKernels(col.ChunkOf(b0), to_values);
       acc.ops[decode_acc].Merge(d);
       nested.Merge(d);
     };
@@ -338,8 +349,8 @@ struct SsbEngine::Impl {
       DecodedCol& d = dcol(col);
       HEF_DCHECK(d.buffer != nullptr);
       decode_begin();
-      d.col->DecodeRange(t.decode_cfg, b0, bn, buf.decode_scratch, d.buffer);
-      decode_end(bn);
+      d.col->DecodeRange(t.decode, b0, bn, buf.decode_scratch, d.buffer);
+      decode_end(bn, *d.col, true);
       d.base = d.buffer;
       return d.base;
     };
@@ -351,15 +362,15 @@ struct SsbEngine::Impl {
         for (std::size_t i = 0; i < m; ++i) rows[i] = pos[i];
         identity = false;
       } else {
-        GatherArray(gather_cfg, rows.data(), pos.data(), scratch.data(),
-                    m);
+        GatherArray(t.gather, rows.data(), pos.data(), scratch.data(), m);
         std::swap(rows, scratch);
+        ran(EngineKernel::kGather);
       }
       for (int k = 0; k < probed_count; ++k) {
         auto& payload = payloads[probed_slots[k]];
-        GatherArray(gather_cfg, payload.data(), pos.data(),
-                    scratch.data(), m);
+        GatherArray(t.gather, payload.data(), pos.data(), scratch.data(), m);
         std::swap(payload, scratch);
+        ran(EngineKernel::kGather);
       }
       n = m;
     };
@@ -372,13 +383,15 @@ struct SsbEngine::Impl {
         -> const std::uint64_t* {
       if (identity) return column_base(col);
       if (const std::uint64_t* base = known_base(col)) {
-        GatherArray(gather_cfg, base, rows.data(), out.data(), n);
+        GatherArray(t.gather, base, rows.data(), out.data(), n);
+        ran(EngineKernel::kGather);
         return out.data();
       }
+      const storage::ChunkedColumn& stored = *dcol(col).col;
       decode_begin();
-      dcol(col).col->DecodeAt(t.decode_cfg, b0, rows.data(), n,
-                              buf.decode_scratch, out.data());
-      decode_end(n);
+      stored.DecodeAt(t.decode, b0, rows.data(), n, buf.decode_scratch,
+                      out.data());
+      decode_end(n, stored, true);
       return out.data();
     };
 
@@ -401,12 +414,12 @@ struct SsbEngine::Impl {
           dcol(col).col->ChunkOf(b0).encoding == storage::Encoding::kPlain) {
         return fetch(col, vals_a);
       }
+      const storage::ChunkedColumn& stored = *dcol(col).col;
       decode_begin();
-      dcol(col).col->CodesAt(
-          t.decode_cfg, b0,
-          identity ? buf.decode_scratch.iota() : rows.data(), n,
-          vals_a.data());
-      decode_end(n);
+      stored.CodesAt(t.decode, b0,
+                     identity ? buf.decode_scratch.iota() : rows.data(), n,
+                     vals_a.data());
+      decode_end(n, stored, false);
       return vals_a.data();
     };
 
@@ -477,7 +490,8 @@ struct SsbEngine::Impl {
       if (j.bloom != nullptr) {
         // Bloom pre-filter: discard definite misses before the (more
         // expensive, cache-hungry) hash-table probe.
-        BloomProbeArray(probe_cfg, *j.bloom, k, bloom_out.data(), n);
+        BloomProbeArray(t.bloom, *j.bloom, k, bloom_out.data(), n);
+        ran(EngineKernel::kBloom);
         const std::size_t bm = CompactInRange(flavor, bloom_out.data(),
                                               n, 1, 1, pos.data());
         if (bm != n) {
@@ -489,13 +503,15 @@ struct SsbEngine::Impl {
           // The surviving keys are k at the positions just kept, so they
           // are gathered, never fetched (and decoded) a second time.
           // bloom_out is free again once compacted.
-          GatherArray(gather_cfg, k, pos.data(), bloom_out.data(), n);
+          GatherArray(t.gather, k, pos.data(), bloom_out.data(), n);
+          ran(EngineKernel::kGather);
           k = bloom_out.data();
         }
       }
       const int slot = j.payload_slot;
       HEF_DCHECK(slot >= 0 && slot < 4);
-      ProbeArray(probe_cfg, *j.table, k, payloads[slot].data(), n);
+      ProbeArray(t.probe, *j.table, k, payloads[slot].data(), n);
+      ran(EngineKernel::kProbe);
       const std::size_t m =
           CompactHits(flavor, payloads[slot].data(), n, pos.data());
       probed_slots[probed_count++] = slot;  // compacts with the rest
@@ -687,8 +703,10 @@ struct SsbEngine::Impl {
   void FeedDrift(const std::string& query, const QueryResult& r,
                  std::uint64_t rows_scanned, std::uint64_t now) const {
     DriftMonitor& drift = DriftMonitor::Get();
-    const std::string probe_point = config.ProbeConfig().ToString();
-    const std::string gather_point = config.GatherConfig().ToString();
+    const std::string probe_point =
+        config.PointFor(EngineKernel::kProbe).ToString();
+    const std::string gather_point =
+        config.PointFor(EngineKernel::kGather).ToString();
     DriftObservation obs;
     obs.nanos = now;
     obs.rows = rows_scanned;

@@ -23,15 +23,13 @@ const char* OperatorKind(const std::string& name) {
   return "op";
 }
 
-// The tuned hybrid point an operator's kernels run at, or nullptr when
-// the flavor does not use per-operator coordinates. Probes use the probe
-// point; filters and the group-by gather through the gather point.
-const HybridConfig* TunedPoint(const std::string& kind,
-                               const ExplainMeta& meta) {
-  if (!meta.tuned) return nullptr;
-  if (kind == "probe") return &meta.probe_cfg;
-  if (kind == "filter" || kind == "aggregate") return &meta.gather_cfg;
-  return nullptr;
+// The (v, s, p) object of one point.
+void WritePoint(const HybridConfig& cfg, telemetry::JsonWriter& w) {
+  w.BeginObject();
+  w.Key("v").Int(cfg.v);
+  w.Key("s").Int(cfg.s);
+  w.Key("p").Int(cfg.p);
+  w.EndObject();
 }
 
 std::string FormatMs(std::uint64_t nanos) {
@@ -64,10 +62,9 @@ ExplainMeta MakeExplainMeta(const std::string& query,
   meta.query = query;
   meta.engine = engine;
   meta.flavor = FlavorName(config.flavor);
-  if (config.flavor == Flavor::kHybrid) {
-    meta.tuned = true;
-    meta.probe_cfg = config.probe_cfg;
-    meta.gather_cfg = config.gather_cfg;
+  meta.tuned = config.flavor == Flavor::kHybrid;
+  for (const EngineKernel kernel : kEngineKernels) {
+    meta.points[static_cast<std::size_t>(kernel)] = config.PointFor(kernel);
   }
   return meta;
 }
@@ -115,9 +112,16 @@ std::string ExplainToText(const ExplainMeta& meta,
     out += depth == 0 ? "" : "`- ";
     out += op.name;
     const std::string kind = OperatorKind(op.name);
-    if (const HybridConfig* t = TunedPoint(kind, meta)) {
-      out += " (v" + std::to_string(t->v) + " s" + std::to_string(t->s) +
-             " p" + std::to_string(t->p) + ")";
+    if (meta.tuned && op.kernels != 0) {
+      // The kernels this row called, each at the point it ran.
+      const char* sep = " (";
+      for (const EngineKernel kernel : kEngineKernels) {
+        if ((op.kernels & KernelBit(kernel)) == 0) continue;
+        out += sep + std::string(EngineKernelName(kernel)) + " " +
+               meta.PointFor(kernel).ToString();
+        sep = ", ";
+      }
+      out += ")";
     }
     out += "  self=" + FormatMs(op.wall_nanos) + "ms";
     if (kind == "decode") {
@@ -178,16 +182,10 @@ std::string ExplainToJson(const ExplainMeta& meta,
       .UInt(static_cast<std::uint64_t>(result.rows.size()));
   if (meta.tuned) {
     w.Key("tuned").BeginObject();
-    w.Key("probe").BeginObject();
-    w.Key("v").Int(meta.probe_cfg.v);
-    w.Key("s").Int(meta.probe_cfg.s);
-    w.Key("p").Int(meta.probe_cfg.p);
-    w.EndObject();
-    w.Key("gather").BeginObject();
-    w.Key("v").Int(meta.gather_cfg.v);
-    w.Key("s").Int(meta.gather_cfg.s);
-    w.Key("p").Int(meta.gather_cfg.p);
-    w.EndObject();
+    w.Key("probe");
+    WritePoint(meta.PointFor(EngineKernel::kProbe), w);
+    w.Key("gather");
+    WritePoint(meta.PointFor(EngineKernel::kGather), w);
     w.EndObject();
   }
   w.Key("operators").BeginArray();
@@ -206,11 +204,13 @@ std::string ExplainToJson(const ExplainMeta& meta,
       w.Key("chunks_scanned").UInt(op.chunks_scanned);
       w.Key("chunks_pruned").UInt(op.chunks_pruned);
     }
-    if (const HybridConfig* t = TunedPoint(kind, meta)) {
+    if (meta.tuned && op.kernels != 0) {
       w.Key("tuned").BeginObject();
-      w.Key("v").Int(t->v);
-      w.Key("s").Int(t->s);
-      w.Key("p").Int(t->p);
+      for (const EngineKernel kernel : kEngineKernels) {
+        if ((op.kernels & KernelBit(kernel)) == 0) continue;
+        w.Key(EngineKernelName(kernel));
+        WritePoint(meta.PointFor(kernel), w);
+      }
       w.EndObject();
     }
     if (op.perf.valid) {

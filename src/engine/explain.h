@@ -2,9 +2,11 @@
 // stats-collecting Run accumulated (QueryResult::operator_stats plus the
 // diagnostics envelope) as a plan tree — which operator, which kernel
 // flavor, which tuned (v,s,p) point, how many rows survived, how long it
-// took, whether the plan came from cache. A chunked scan adds a decode
-// row: the values it read out of encoded storage and the time and PMU
-// deltas that cost, taken out of the operator rows that asked for them.
+// took, whether the plan came from cache. A hybrid row lists the engine
+// kernels it called, each at the point it ran. A chunked scan adds a
+// decode row: the values it read out of encoded storage, the decode
+// kernels, and the time and PMU deltas that cost, taken out of the
+// operator rows that asked for them.
 //
 // Two renderings share one traversal: a human text tree (`hef query
 // --explain`) and the machine-readable `hef-explain-v1` JSON document
@@ -16,6 +18,7 @@
 #ifndef HEF_ENGINE_EXPLAIN_H_
 #define HEF_ENGINE_EXPLAIN_H_
 
+#include <array>
 #include <string>
 
 #include "engine/flavor.h"
@@ -24,20 +27,23 @@
 
 namespace hef {
 
-// Context the stats rows alone cannot carry. `tuned` marks the hybrid
-// coordinates as meaningful (the hybrid flavor); Voila and the pure
-// flavors leave it false and the renderings omit (v,s,p) annotations.
+// Context the stats rows alone cannot carry. `tuned` marks the kernel
+// points as meaningful (the hybrid flavor); Voila and the pure flavors
+// leave it false and the renderings omit (v,s,p) annotations.
 struct ExplainMeta {
   std::string query;   // e.g. "Q2.1"
   std::string engine;  // e.g. "hybrid", "voila"
   std::string flavor;  // kernel flavor name; may equal engine
   bool tuned = false;
-  HybridConfig probe_cfg{1, 0, 1};
-  HybridConfig gather_cfg{1, 0, 1};
+  // The point each EngineKernel runs at, indexed by the kernel.
+  std::array<HybridConfig, kEngineKernels.size()> points{};
+  const HybridConfig& PointFor(EngineKernel kernel) const {
+    return points[static_cast<std::size_t>(kernel)];
+  }
 };
 
-// Meta for an SsbEngine run: flavor and — for the hybrid flavor — the
-// tuned kernel coordinates come from the engine config.
+// Meta for an SsbEngine run: the flavor and the point of every kernel
+// (EngineConfig::PointFor) come from the engine config.
 ExplainMeta MakeExplainMeta(const std::string& query,
                             const std::string& engine,
                             const EngineConfig& config);

@@ -10,6 +10,8 @@
 #ifndef HEF_ENGINE_FLAVOR_H_
 #define HEF_ENGINE_FLAVOR_H_
 
+#include <array>
+#include <cstdint>
 #include <string>
 
 #include "common/status.h"
@@ -44,6 +46,40 @@ Status CheckFlavorSupported(Flavor flavor);
 // InvalidArgument (unknown name) or Unsupported (host cannot run it).
 Result<Flavor> ResolveFlavorFlag(const std::string& name);
 
+// The kernels the SSB engine calls, each named as its kernel-table entry
+// (tuner/kernel_table.h), in the order a probe stage calls them.
+enum class EngineKernel : std::uint8_t {
+  kBloom, kProbe, kGather, kUnpackBits, kForAdd, kDictGather
+};
+inline constexpr std::array<EngineKernel, 6> kEngineKernels = {
+    EngineKernel::kBloom,      EngineKernel::kProbe,
+    EngineKernel::kGather,     EngineKernel::kUnpackBits,
+    EngineKernel::kForAdd,     EngineKernel::kDictGather};
+
+inline const char* EngineKernelName(EngineKernel kernel) {
+  constexpr const char* kNames[] = {"bloom",       "probe",   "gather",
+                                    "unpack_bits", "for_add", "dict_gather"};
+  return kNames[static_cast<int>(kernel)];
+}
+
+// A set of EngineKernels: bit k is set when kernel k is in the set.
+using KernelSet = std::uint32_t;
+constexpr KernelSet KernelBit(EngineKernel kernel) {
+  return KernelSet{1} << static_cast<int>(kernel);
+}
+
+// The points the tuning cache may set, keyed by kernel-table name.
+struct TunedPoints {
+  HybridConfig probe{1, 1, 3};
+  HybridConfig gather{1, 1, 3};
+  // The point of the kernel named `name`; null for any other name.
+  HybridConfig* Find(const std::string& name) {
+    if (name == "probe") return &probe;
+    if (name == "gather") return &gather;
+    return nullptr;
+  }
+};
+
 // Per-engine configuration. The hybrid kernel coordinates default to the
 // paper's SSB optimum (one SIMD + one scalar statement, pack of three,
 // §V-B); the tuner can override them per host. The filter strategy follows
@@ -53,8 +89,7 @@ Result<Flavor> ResolveFlavorFlag(const std::string& name);
 struct EngineConfig {
   Flavor flavor = Flavor::kSimd;
   // Coordinates used when flavor == kHybrid.
-  HybridConfig probe_cfg{1, 1, 3};
-  HybridConfig gather_cfg{1, 1, 3};
+  TunedPoints points;
   // Rows per pipeline block (the vectorized engine's vector size).
   int block_size = 4096;
   // Collect per-operator statistics (wall time, row counts, selectivity)
@@ -92,25 +127,25 @@ struct EngineConfig {
   // bit-identical with pruning on or off.
   bool scan_pruning = false;
 
-  // The kernel coordinates this engine flavour runs at. The chunk-decode
-  // kernels (bit-unpack, FoR-add, dictionary gather) run hybrid at the
-  // paper's SSB optimum.
-  HybridConfig ProbeConfig() const { return AtFlavor(probe_cfg); }
-  HybridConfig GatherConfig() const { return AtFlavor(gather_cfg); }
-  HybridConfig DecodeConfig() const { return AtFlavor({1, 1, 3}); }
-
- private:
-  // The pure flavours pin every kernel; hybrid runs the tuned point.
-  HybridConfig AtFlavor(HybridConfig tuned) const {
-    switch (flavor) {
-      case Flavor::kScalar:
-        return HybridConfig::PureScalar();
-      case Flavor::kSimd:
-        return HybridConfig::PureSimd();
-      case Flavor::kHybrid:
-        return tuned;
+  // The point `kernel` runs at, and the only map from a kernel to its
+  // point. The pure flavours pin every kernel. Hybrid runs the Bloom probe
+  // at the hash probe's point and the three chunk-decode kernels at the
+  // paper's SSB optimum (one point: ChunkedColumn takes one for all three).
+  HybridConfig PointFor(EngineKernel kernel) const {
+    if (flavor == Flavor::kScalar) return HybridConfig::PureScalar();
+    if (flavor == Flavor::kSimd) return HybridConfig::PureSimd();
+    if (kernel == EngineKernel::kBloom || kernel == EngineKernel::kProbe) {
+      return points.probe;
     }
-    return HybridConfig::PureSimd();
+    if (kernel == EngineKernel::kGather) return points.gather;
+    return {1, 1, 3};  // unpack_bits, for_add, dict_gather
+  }
+
+  // Views for hef_bench's layer replay, which predates PointFor.
+  HybridConfig ProbeConfig() const { return PointFor(EngineKernel::kProbe); }
+  HybridConfig GatherConfig() const { return PointFor(EngineKernel::kGather); }
+  HybridConfig DecodeConfig() const {
+    return PointFor(EngineKernel::kUnpackBits);
   }
 };
 

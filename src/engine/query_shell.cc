@@ -149,6 +149,7 @@ void OpAcc::Merge(const OpAcc& o) {
   llc_misses += o.llc_misses;
   pmu_valid = pmu_valid || o.pmu_valid;
   pmu_scaled = pmu_scaled || o.pmu_scaled;
+  kernels |= o.kernels;
 }
 
 BlockAccumulator::BlockAccumulator(const StarPlan& plan, bool stats)
@@ -171,6 +172,7 @@ OperatorStats ToStats(const std::string& name, const OpAcc& a) {
   s.perf.llc_misses = a.llc_misses;
   s.perf.scaled = a.pmu_scaled;
   s.perf.elapsed_seconds = static_cast<double>(a.nanos) * 1e-9;
+  s.kernels = a.kernels;
   return s;
 }
 

@@ -186,6 +186,7 @@ struct OpAcc {
   std::uint64_t llc_misses = 0;
   bool pmu_valid = false;
   bool pmu_scaled = false;
+  KernelSet kernels = 0;
 
   void Merge(const OpAcc& o);
 };

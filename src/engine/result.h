@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/flavor.h"
 #include "perf/perf_counters.h"
 
 namespace hef {
@@ -34,6 +35,9 @@ struct OperatorStats {
   // successive operators nest).
   std::uint64_t chunks_scanned = 0;
   std::uint64_t chunks_pruned = 0;
+  // The engine kernels this operator called (SsbEngine only). A decode's
+  // kernels land on the decode row, not on the operator that asked.
+  KernelSet kernels = 0;
 
   // Fraction of input rows surviving this operator; 1 when no rows seen.
   double Selectivity() const {
@@ -75,12 +79,6 @@ struct QueryResult {
   std::uint64_t chunks_total = 0;
   std::uint64_t chunks_scanned = 0;
   std::uint64_t chunks_pruned = 0;
-
-  std::uint64_t TotalValue() const {
-    std::uint64_t total = 0;
-    for (const GroupRow& r : rows) total += r.value;
-    return total;
-  }
 
   bool operator==(const QueryResult& o) const { return rows == o.rows; }
 

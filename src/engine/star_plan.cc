@@ -309,45 +309,27 @@ void BuildQuery(const SsbDatabase& db, QueryId id, PlanBuilder& b) {
 // empty, never rendered: no row reaches that group).
 void SetGroupLayout(const std::vector<PayloadFrame>& frames,
                     StarPlan* plan) {
-  std::array<std::uint64_t, kGroupKeys> lo{}, stride{};
-  std::array<std::uint64_t, kGroupKeys> width{1, 1, 1};
   for (const PayloadFrame& f : frames) {
     if (f.group_key == kMarker || f.lo > f.hi) continue;
-    lo[f.group_key] = f.lo;
-    width[f.group_key] = f.hi - f.lo + 1;
+    plan->lo[f.group_key] = f.lo;
+    plan->width[f.group_key] = f.hi - f.lo + 1;
   }
   std::uint64_t domain = 1;
   for (int k = kGroupKeys - 1; k >= 0; --k) {
-    stride[k] = domain;
-    domain *= width[k];
+    plan->stride[k] = domain;
+    domain *= plan->width[k];
   }
-  // One stride per payload slot, 0 for markers and unused slots: four
-  // fixed multiplies per row cost less than a loop over the keyed slots.
-  std::array<std::uint64_t, 4> slot_stride{};
-  HEF_CHECK(frames.size() <= slot_stride.size());
-  std::uint64_t base = 0;
+  HEF_CHECK(frames.size() <= plan->slot_stride.size());
   std::array<bool, kGroupKeys> filled{};
   for (std::size_t j = 0; j < frames.size(); ++j) {
     const int k = frames[j].group_key;
     if (k == kMarker) continue;
     HEF_CHECK_MSG(!filled[k], "two joins fill one group key");
     filled[k] = true;
-    slot_stride[j] = stride[k];
-    base += lo[k] * stride[k];
+    plan->slot_stride[j] = plan->stride[k];
+    plan->base += plan->lo[k] * plan->stride[k];
   }
   plan->gid_domain = domain;
-  // Wraps modulo 2^64 exactly: every payload is at least its frame's lo.
-  plan->gid = [slot_stride, base](const std::array<std::uint64_t, 4>& p) {
-    return p[0] * slot_stride[0] + p[1] * slot_stride[1] +
-           p[2] * slot_stride[2] + p[3] * slot_stride[3] - base;
-  };
-  plan->decode = [lo, stride, width](std::uint64_t g) {
-    std::array<std::uint64_t, kGroupKeys> keys{};
-    for (int k = 0; k < kGroupKeys; ++k) {
-      keys[k] = lo[k] + g / stride[k] % width[k];
-    }
-    return keys;
-  };
 }
 
 }  // namespace
@@ -379,7 +361,7 @@ BoundPlan BuildQueryPlan(const SsbDatabase& db, QueryId id,
   g_parallel_for = nullptr;
   StarPlan& plan = builder.bound.plan;
   // Fix payload slots to schema order before any reordering: the plan's
-  // gid/decode functions address payloads by these slots.
+  // group layout addresses payloads by these slots.
   for (std::size_t j = 0; j < plan.joins.size(); ++j) {
     plan.joins[j].payload_slot = static_cast<int>(j);
   }

@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -70,6 +69,7 @@ struct JoinStage {
 // lo + (g / stride) % width. `gid_domain` is the product of the frame
 // widths — the groups that can occur — and at least 1 (an empty frame,
 // or a key no join fills, has width 1). Keys no join fills decode to 0.
+// The defaults lay out the single group of a plan with no keyed join.
 struct StarPlan {
   std::vector<RangeFilter> filters;
   std::vector<JoinStage> joins;  // probe order: most selective first
@@ -77,8 +77,29 @@ struct StarPlan {
   const ssb::Column* value_b = nullptr;
   ValueOp value_op = ValueOp::kSum;
   std::size_t gid_domain = 1;
-  std::function<std::uint64_t(const std::array<std::uint64_t, 4>&)> gid;
-  std::function<std::array<std::uint64_t, 3>(std::uint64_t)> decode;
+  // Per payload slot, the stride of the key its join fills (0 for markers
+  // and unused slots), and the sum of lo * stride over the keyed joins.
+  std::array<std::uint64_t, 4> slot_stride{};
+  std::uint64_t base = 0;
+  // Per output key, its frame's lo, its stride and its width.
+  std::array<std::uint64_t, 3> lo{};
+  std::array<std::uint64_t, 3> stride{1, 1, 1};
+  std::array<std::uint64_t, 3> width{1, 1, 1};
+
+  // Four fixed multiplies per row cost less than a loop over the keyed
+  // slots. Wraps modulo 2^64 exactly: every payload is at least its
+  // frame's lo.
+  std::uint64_t gid(const std::array<std::uint64_t, 4>& p) const {
+    return p[0] * slot_stride[0] + p[1] * slot_stride[1] +
+           p[2] * slot_stride[2] + p[3] * slot_stride[3] - base;
+  }
+  std::array<std::uint64_t, 3> decode(std::uint64_t g) const {
+    std::array<std::uint64_t, 3> keys{};
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      keys[k] = lo[k] + g / stride[k] % width[k];
+    }
+    return keys;
+  }
 };
 
 // A StarPlan plus ownership of its dimension hash tables and Bloom filters.

@@ -9,15 +9,6 @@
 
 namespace hef::exec {
 
-const char* PriorityName(Priority priority) {
-  switch (priority) {
-    case Priority::kHigh: return "high";
-    case Priority::kNormal: return "normal";
-    case Priority::kLow: return "low";
-  }
-  return "unknown";
-}
-
 Result<Priority> ParsePriority(const std::string& name) {
   if (name == "high") return Priority::kHigh;
   if (name == "normal" || name.empty()) return Priority::kNormal;

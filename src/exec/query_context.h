@@ -35,8 +35,6 @@ enum class Priority : int {
 };
 inline constexpr int kPriorityClasses = 3;
 
-const char* PriorityName(Priority priority);
-
 // Parses "high" / "normal" / "low"; InvalidArgument otherwise.
 Result<Priority> ParsePriority(const std::string& name);
 
@@ -113,7 +111,6 @@ class QueryContext {
   // Absolute CLOCK_MONOTONIC_RAW deadline; 0 means "none".
   void set_deadline_nanos(std::uint64_t nanos) { deadline_nanos_ = nanos; }
   std::uint64_t deadline_nanos() const { return deadline_nanos_; }
-  bool has_deadline() const { return deadline_nanos_ != 0; }
 
   // The hot-loop form: true once the query should stop (cancelled or past
   // deadline). Branch-only when neither a token nor a deadline is set.

@@ -26,18 +26,6 @@ const char* OpClassName(OpClass op) {
   return "unknown";
 }
 
-const char* PortKindName(PortKind kind) {
-  switch (kind) {
-    case PortKind::kSimdAlu: return "simd-alu";
-    case PortKind::kSimdMul: return "simd-mul";
-    case PortKind::kScalarAlu: return "scalar-alu";
-    case PortKind::kScalarMul: return "scalar-mul";
-    case PortKind::kLoad: return "load";
-    case PortKind::kStore: return "store";
-  }
-  return "unknown";
-}
-
 namespace {
 
 // Shorthand builders keep the table readable.

@@ -54,8 +54,6 @@ enum class PortKind {
   kStore,      // store port
 };
 
-const char* PortKindName(PortKind kind);
-
 struct InstructionInfo {
   OpClass op;
   Isa isa;

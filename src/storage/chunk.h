@@ -40,8 +40,6 @@ enum class Encoding : std::uint8_t {
   kFor,    // frame-of-reference: bit-packed deltas from the chunk minimum
 };
 
-const char* EncodingName(Encoding encoding);
-
 // Packed widths are restricted to divisors of 64 so a value never
 // straddles a word boundary: both the SIMD unpack kernel (one gather, one
 // variable shift, one mask — no two-word splice) and its HID template

@@ -111,18 +111,6 @@ CodeRange CodeRangeFor(const ColumnChunk& chunk, std::uint64_t lo,
   return {};
 }
 
-const char* EncodingName(Encoding encoding) {
-  switch (encoding) {
-    case Encoding::kPlain:
-      return "plain";
-    case Encoding::kDict:
-      return "dict";
-    case Encoding::kFor:
-      return "for";
-  }
-  return "unknown";
-}
-
 const char* EncodingPolicyName(EncodingPolicy policy) {
   switch (policy) {
     case EncodingPolicy::kAuto:

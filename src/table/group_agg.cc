@@ -69,8 +69,6 @@ void GroupSumAddSimd(const std::uint64_t* gids, const std::uint64_t* values,
 
 }  // namespace
 
-bool GroupSumVectorPathAvailable() { return HEF_HAVE_GROUP_AGG_SIMD != 0; }
-
 void GroupSumAdd(bool use_simd, const std::uint64_t* gids,
                  const std::uint64_t* values, std::size_t n,
                  std::uint64_t* agg, std::uint64_t* cnt) {

@@ -27,9 +27,6 @@ void GroupSumAdd(bool use_simd, const std::uint64_t* gids,
                  const std::uint64_t* values, std::size_t n,
                  std::uint64_t* agg, std::uint64_t* cnt);
 
-// True when the vector path is compiled in (AVX-512F+CD present).
-bool GroupSumVectorPathAvailable();
-
 }  // namespace hef
 
 #endif  // HEF_TABLE_GROUP_AGG_H_

@@ -270,10 +270,9 @@ std::vector<KernelEntry> BuildTable() {
   // probe result live, over three shared constants (murmur multiplier,
   // seed fold, slot mask).
   table.push_back({"probe", kProbeHashTemplate, ProbeSupportedConfigs(),
-                   ProbeKernel::Ops(), PressureProfile{3, 3}, ProbeWorkload,
-                   &EngineConfig::probe_cfg});
+                   ProbeKernel::Ops(), PressureProfile{3, 3}, ProbeWorkload});
   table.push_back({"gather", "", GatherSupportedConfigs(), GatherKernelOps(),
-                   kGatherProfile, GatherWorkload, &EngineConfig::gather_cfg});
+                   kGatherProfile, GatherWorkload});
   // Probe rounds of a filter at the default bits per key, as the
   // workload builds it.
   table.push_back({"bloom", "", BloomProbeSupportedConfigs(),
@@ -282,7 +281,7 @@ std::vector<KernelEntry> BuildTable() {
   table.push_back({"sum", "", ReduceSupportedConfigs(), SumKernel::Ops(),
                    std::nullopt, SumWorkload});
   // The chunk-decode kernels (storage/decode.h). The engine decodes at the
-  // fixed EngineConfig::DecodeConfig(), so none has an engine field.
+  // fixed point EngineConfig::PointFor gives them, so the cache sets none.
   table.push_back({"unpack_bits", storage::UnpackBitsTemplateText(kUnpackWidth),
                    storage::UnpackBitsSupportedConfigs(),
                    storage::UnpackBitsKernelOps(),
@@ -387,8 +386,9 @@ TuneResult TuneKernel(const KernelEntry& entry,
 std::vector<std::pair<const KernelEntry*, TuneResult>> TuneEnginePoints(
     const KernelTuneOptions& options, TuningCache* cache) {
   std::vector<std::pair<const KernelEntry*, TuneResult>> tuned;
+  TunedPoints settable;
   for (const KernelEntry& entry : KernelTable()) {
-    if (entry.engine_field == nullptr) continue;
+    if (settable.Find(entry.name) == nullptr) continue;
     TuneResult r = TuneKernel(entry, options);
     cache->Put(entry.name, r.best, r.best_time, r.ns_per_element);
     tuned.emplace_back(&entry, std::move(r));
@@ -406,19 +406,19 @@ void ApplyTuningCache(const std::string& path, EngineConfig* engine,
   if (cache.size() == 0) return;
   std::string applied;
   for (const KernelEntry& entry : KernelTable()) {
-    if (entry.engine_field == nullptr) continue;
+    HybridConfig* field = engine->points.Find(entry.name);
+    if (field == nullptr) continue;
     const Result<TuningCache::Entry> point = cache.Get(entry.name);
     if (!point.ok()) continue;
     const HybridConfig& cfg = point.value().config;
-    HybridConfig& field = engine->*entry.engine_field;
     if (!InGrid(entry.grid, cfg)) {
       WarnTuningCache("apply", Status::InvalidArgument(
                                    entry.name + " " + cfg.ToString() +
                                    " is outside its compiled grid; keeping " +
-                                   field.ToString()));
+                                   field->ToString()));
       continue;
     }
-    field = cfg;
+    *field = cfg;
     DriftMonitor::Get().SetPrediction(entry.name, cfg.ToString(),
                                       point.value().ns_per_row);
     applied += (applied.empty() ? "" : ", ") + entry.name + " " +

@@ -6,9 +6,9 @@
 // `hef lint --prove` and used as the tuner's semantic admission), the
 // (v, s, p) grid its runtime precompiles, the op mix that seeds the
 // candidate generator, the register-pressure profile for static
-// admission, the standalone tuning workload, and the engine field its
-// tuned point configures. `TuneKernel` runs Algorithm 2 over any entry;
-// `hef tune` persists the entries the engine reads and
+// admission, and the standalone tuning workload. `TuneKernel` runs
+// Algorithm 2 over any entry; `hef tune` persists the entries whose point
+// the engine reads from EngineConfig::points (TunedPoints::Find) and
 // `ApplyTuningCache` loads them back "without further training"
 // (§III-A).
 
@@ -70,9 +70,6 @@ struct KernelEntry {
   // Builds the standalone tuning inputs and returns the min-of-repetitions
   // wall-clock measurement over them; null when the kernel has none.
   MeasureFn (*workload)(const KernelTuneOptions&) = nullptr;
-  // The engine coordinate the tuned point sets; null when the engine
-  // does not read a tuned point for this kernel.
-  HybridConfig EngineConfig::*engine_field = nullptr;
 };
 
 // Every built-in kernel, in a fixed order.
@@ -101,17 +98,17 @@ std::vector<ProofTarget> ProofTargets();
 TuneResult TuneKernel(const KernelEntry& entry,
                       const KernelTuneOptions& options = {});
 
-// Tunes every entry with an engine field, in table order, and records
+// Tunes every entry TunedPoints::Find names, in table order, and records
 // each winner in `cache` (the caller saves it).
 std::vector<std::pair<const KernelEntry*, TuneResult>> TuneEnginePoints(
     const KernelTuneOptions& options, TuningCache* cache);
 
 // The one loader of tuned points. Loads the cache at `path` and, for
-// every entry with an engine field, validates the cached point against
-// the entry's grid, sets the field and registers the point's predicted
-// cost with the drift sentinel. A bad cache line or an out-of-grid point
-// is warned about on stderr and leaves that field's default (a bad header
-// drops the whole file); the applied points are
+// every entry TunedPoints::Find names, validates the cached point against
+// the entry's grid, sets it in engine->points and registers the point's
+// predicted cost with the drift sentinel. A bad cache line or an
+// out-of-grid point is warned about on stderr and leaves that point's
+// default (a bad header drops the whole file); the applied points are
 // listed on `out` ("using cached tuning: probe v1s1p3, gather v1s0p1").
 void ApplyTuningCache(const std::string& path, EngineConfig* engine,
                       std::FILE* out);

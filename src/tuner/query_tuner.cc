@@ -16,8 +16,7 @@ QueryTuneResult TuneQueriesProbe(const ssb::SsbDatabase& db,
                                  const QueryTuneOptions& options) {
   HEF_CHECK_MSG(!queries.empty(), "no test queries given");
   const KernelEntry& probe = FindKernel("probe");
-  const std::vector<HybridConfig>& grid = probe.grid;
-  auto supported = [&grid](const HybridConfig& cfg) {
+  auto supported = [&grid = probe.grid](const HybridConfig& cfg) {
     return std::find(grid.begin(), grid.end(), cfg) != grid.end();
   };
 
@@ -29,8 +28,8 @@ QueryTuneResult TuneQueriesProbe(const ssb::SsbDatabase& db,
   auto measure = [&](const HybridConfig& cfg) {
     EngineConfig config;
     config.flavor = Flavor::kHybrid;
-    config.probe_cfg = cfg;
-    config.gather_cfg = options.gather;
+    config.points.probe = cfg;
+    config.points.gather = options.gather;
     config.block_size = options.block_size;
     // The tuner characterizes per-core kernel behaviour: one worker, and
     // plan reuse on so repeated Runs time the probe pipeline, not the

@@ -570,7 +570,7 @@ TEST(DependenceCheckerTest, AllSsbQueryKernelsProvenIndependent) {
   const EngineConfig deployed;
   int i = 0;
   for (const QueryId id : AllQueries()) {
-    const HybridConfig tuned = deployed.probe_cfg;
+    const HybridConfig tuned = deployed.points.probe;
     const HybridConfig extra = grid[i++ % grid.size()];
     for (const HybridConfig& cfg : {tuned, extra}) {
       const auto r = CheckTemplate(kProbeShape, cfg);

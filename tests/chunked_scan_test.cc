@@ -191,9 +191,9 @@ TEST(ChunkedScanTest, LateMaterializationDecodesOnlySurvivors) {
   EXPECT_EQ(registry.counter("storage.rows_decoded").value() - decoded0,
             decode->rows_out);
 
-  // The decode row renders in both EXPLAIN forms.
+  // The decode row renders in both EXPLAIN forms, with its kernels.
   const ExplainMeta meta = MakeExplainMeta("Q2.1", "hybrid", config);
-  EXPECT_NE(ExplainToText(meta, result).find("decode  self="),
+  EXPECT_NE(ExplainToText(meta, result).find("decode (unpack_bits v1s1p3"),
             std::string::npos);
   auto json = telemetry::JsonValue::Parse(ExplainToJson(meta, result));
   ASSERT_TRUE(json.ok()) << json.status().ToString();

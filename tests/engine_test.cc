@@ -63,18 +63,18 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(EngineConfigTest, FlavorsMapToConfigs) {
   EngineConfig config;
   config.flavor = Flavor::kScalar;
-  EXPECT_EQ(config.ProbeConfig(), HybridConfig::PureScalar());
+  EXPECT_EQ(config.PointFor(EngineKernel::kProbe), HybridConfig::PureScalar());
   config.flavor = Flavor::kSimd;
-  EXPECT_EQ(config.ProbeConfig(), HybridConfig::PureSimd());
+  EXPECT_EQ(config.PointFor(EngineKernel::kProbe), HybridConfig::PureSimd());
   config.flavor = Flavor::kHybrid;
-  EXPECT_EQ(config.ProbeConfig(), (HybridConfig{1, 1, 3}));
+  EXPECT_EQ(config.PointFor(EngineKernel::kProbe), (HybridConfig{1, 1, 3}));
 }
 
 TEST(EngineTest, HybridConfigOverrideRespected) {
   EngineConfig config;
   config.flavor = Flavor::kHybrid;
-  config.probe_cfg = {2, 2, 2};
-  config.gather_cfg = {1, 2, 1};
+  config.points.probe = {2, 2, 2};
+  config.points.gather = {1, 2, 1};
   SsbEngine engine(TestDb(), config);
   EXPECT_EQ(engine.Run(QueryId::kQ2_1),
             RunReferenceQuery(TestDb(), QueryId::kQ2_1));

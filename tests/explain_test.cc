@@ -2,17 +2,22 @@
 // from synthetic operator stats (fixed numbers, deterministic output),
 // plus end-to-end checks that an engine Run fills the diagnostics
 // envelope (trace id, wall time, morsels, plan-cache bit), that the
-// explain JSON parses under the hef-explain-v1 schema, and that error
-// Statuses carry the trace-id suffix.
+// explain JSON parses under the hef-explain-v1 schema, that each hybrid
+// row lists exactly the kernels it called, and that error Statuses carry
+// the trace-id suffix.
 
 #include <cstdint>
+#include <set>
 #include <string>
 
 #include "engine/engine.h"
 #include "engine/explain.h"
+#include "engine/reference.h"
 #include "exec/query_context.h"
 #include "gtest/gtest.h"
+#include "ssb/chunked_fact.h"
 #include "ssb/database.h"
+#include "storage/encoding.h"
 #include "telemetry/json_value.h"
 
 namespace hef {
@@ -21,7 +26,9 @@ namespace {
 using telemetry::JsonValue;
 
 // A fabricated hybrid run with round numbers so both renderings are
-// byte-stable: a four-stage pipeline, cached plan, traced.
+// byte-stable: a four-stage pipeline, cached plan, traced. The filter
+// called no engine kernel, the probe its Bloom filter, hash probe and a
+// survivor gather, the group-by one gather.
 QueryResult SyntheticResult() {
   QueryResult result;
   result.rows.push_back(GroupRow{{1993, 0, 0}, 12345});
@@ -31,32 +38,33 @@ QueryResult SyntheticResult() {
   result.morsels = 7;
   result.plan_cache_hit = true;
   auto add = [&](const char* name, std::uint64_t nanos, std::uint64_t inv,
-                 std::uint64_t in, std::uint64_t out) {
+                 std::uint64_t in, std::uint64_t out, KernelSet kernels) {
     OperatorStats op;
     op.name = name;
     op.wall_nanos = nanos;
     op.invocations = inv;
     op.rows_in = in;
     op.rows_out = out;
+    op.kernels = kernels;
     result.operator_stats.push_back(op);
   };
+  const KernelSet gather = KernelBit(EngineKernel::kGather);
   // Execution order: build first, sink last (the renderer reverses).
-  add("build", 2'000'000, 1, 100, 100);
-  add("filter.year", 500'000, 4, 1000, 500);
-  add("probe.partkey", 1'000'000, 4, 500, 250);
-  add("groupby", 250'000, 4, 250, 250);
+  add("build", 2'000'000, 1, 100, 100, 0);
+  add("filter.year", 500'000, 4, 1000, 500, 0);
+  add("probe.partkey", 1'000'000, 4, 500, 250,
+      KernelBit(EngineKernel::kBloom) | KernelBit(EngineKernel::kProbe) |
+          gather);
+  add("groupby", 250'000, 4, 250, 250, gather);
   return result;
 }
 
 ExplainMeta SyntheticMeta() {
-  ExplainMeta meta;
-  meta.query = "Q9.9";
-  meta.engine = "hybrid";
-  meta.flavor = "hybrid";
-  meta.tuned = true;
-  meta.probe_cfg = HybridConfig{2, 1, 3};
-  meta.gather_cfg = HybridConfig{1, 2, 4};
-  return meta;
+  EngineConfig config;
+  config.flavor = Flavor::kHybrid;
+  config.points.probe = HybridConfig{2, 1, 3};
+  config.points.gather = HybridConfig{1, 2, 4};
+  return MakeExplainMeta("Q9.9", "hybrid", config);
 }
 
 TEST(ExplainTextTest, GoldenTree) {
@@ -64,10 +72,10 @@ TEST(ExplainTextTest, GoldenTree) {
       ExplainToText(SyntheticMeta(), SyntheticResult()),
       "Q9.9 [hybrid] trace=0000000000000abc wall=5.000ms morsels=7 "
       "plan=cached\n"
-      "groupby (v1 s2 p4)  self=0.250ms  rows 250 -> 250  calls=4\n"
-      "  `- probe.partkey (v2 s1 p3)  self=1.000ms  rows 500 -> 250"
-      "  sel=50.00%  calls=4\n"
-      "    `- filter.year (v1 s2 p4)  self=0.500ms  rows 1000 -> 500"
+      "groupby (gather v1s2p4)  self=0.250ms  rows 250 -> 250  calls=4\n"
+      "  `- probe.partkey (bloom v2s1p3, probe v2s1p3, gather v1s2p4)"
+      "  self=1.000ms  rows 500 -> 250  sel=50.00%  calls=4\n"
+      "    `- filter.year  self=0.500ms  rows 1000 -> 500"
       "  sel=50.00%  calls=4\n"
       "      `- build  self=2.000ms  rows 100 -> 100\n");
 }
@@ -117,16 +125,28 @@ TEST(ExplainJsonTest, GoldenDocumentParses) {
   const JsonValue& build = ops->array()[0];
   EXPECT_EQ(build.StringOr("name", ""), "build");
   EXPECT_EQ(build.StringOr("kind", ""), "build");
-  EXPECT_EQ(build.Find("tuned"), nullptr);  // builds are not tuned
+  EXPECT_EQ(build.Find("tuned"), nullptr);  // builds call no engine kernel
+  EXPECT_EQ(ops->array()[1].Find("tuned"), nullptr);  // nor did the filter
+  // Each row's `tuned` object maps the kernels it called to their points.
   const JsonValue& probe = ops->array()[2];
   EXPECT_EQ(probe.StringOr("kind", ""), "probe");
   EXPECT_NEAR(probe.NumberOr("selectivity", 0), 0.5, 1e-9);
-  ASSERT_NE(probe.Find("tuned"), nullptr);
-  EXPECT_EQ(probe.Find("tuned")->NumberOr("s", -1), 1.0);
+  const JsonValue* probe_tuned = probe.Find("tuned");
+  ASSERT_NE(probe_tuned, nullptr);
+  ASSERT_EQ(probe_tuned->object().size(), 3u);
+  ASSERT_NE(probe_tuned->Find("bloom"), nullptr);
+  EXPECT_EQ(probe_tuned->Find("bloom")->NumberOr("v", -1), 2.0);
+  ASSERT_NE(probe_tuned->Find("probe"), nullptr);
+  EXPECT_EQ(probe_tuned->Find("probe")->NumberOr("s", -1), 1.0);
+  ASSERT_NE(probe_tuned->Find("gather"), nullptr);
+  EXPECT_EQ(probe_tuned->Find("gather")->NumberOr("p", -1), 4.0);
   const JsonValue& sink = ops->array()[3];
   EXPECT_EQ(sink.StringOr("kind", ""), "aggregate");
-  ASSERT_NE(sink.Find("tuned"), nullptr);
-  EXPECT_EQ(sink.Find("tuned")->NumberOr("v", -1), 1.0);  // gather point
+  const JsonValue* sink_tuned = sink.Find("tuned");
+  ASSERT_NE(sink_tuned, nullptr);
+  ASSERT_EQ(sink_tuned->object().size(), 1u);
+  ASSERT_NE(sink_tuned->Find("gather"), nullptr);
+  EXPECT_EQ(sink_tuned->Find("gather")->NumberOr("s", -1), 2.0);
 }
 
 // ------------------------------------------------------------- end-to-end
@@ -172,6 +192,79 @@ TEST(ExplainEndToEndTest, RunFillsDiagnosticsEnvelope) {
   ASSERT_TRUE(json.ok()) << json.status().ToString();
   EXPECT_EQ(json.value().StringOr("schema", ""), "hef-explain-v1");
   EXPECT_FALSE(json.value().Find("operators")->array().empty());
+}
+
+// The hef-explain-v1 document of one hybrid Run of `id` with stats, after
+// checking its result against the reference.
+JsonValue HybridExplain(const ssb::SsbDatabase& db, QueryId id,
+                        bool chunked) {
+  EngineConfig config;
+  config.flavor = Flavor::kHybrid;
+  config.threads = 1;
+  config.collect_stats = true;
+  config.chunked_scan = chunked;
+  SsbEngine engine(db, config);
+  const QueryResult result = engine.Run(id);
+  EXPECT_TRUE(result == RunReferenceQuery(db, id)) << QueryName(id);
+  const ExplainMeta meta = MakeExplainMeta(QueryName(id), "hybrid", config);
+  return JsonValue::Parse(ExplainToJson(meta, result)).value();
+}
+
+// The kernels the row `name` of `doc` lists: the keys of its `tuned`
+// object, empty when it has none.
+std::set<std::string> RowKernels(const JsonValue& doc,
+                                 const std::string& name) {
+  std::set<std::string> kernels;
+  for (const JsonValue& op : doc.Find("operators")->array()) {
+    if (op.StringOr("name", "") != name) continue;
+    if (const JsonValue* tuned = op.Find("tuned")) {
+      for (const auto& [kernel, point] : tuned->object()) {
+        EXPECT_EQ(point.NumberOr("p", 0), 3.0) << name << " " << kernel;
+        kernels.insert(kernel);
+      }
+    }
+    return kernels;
+  }
+  ADD_FAILURE() << "no operator row " << name;
+  return kernels;
+}
+
+TEST(ExplainEndToEndTest, HybridRowsListTheKernelsTheyRan) {
+  using Kernels = std::set<std::string>;
+  // Q1.1 on flat storage: the fused filters scan bitmaps over the whole
+  // block in flavour code, so they list no kernel; the group-by gathers
+  // its measures at the survivors.
+  const JsonValue flat = HybridExplain(TestDb(), QueryId::kQ1_1, false);
+  int filters = 0;
+  for (const JsonValue& op : flat.Find("operators")->array()) {
+    if (op.StringOr("kind", "") != "filter") continue;
+    ++filters;
+    EXPECT_EQ(op.Find("tuned"), nullptr) << op.StringOr("name", "");
+  }
+  EXPECT_EQ(filters, 3);
+  EXPECT_EQ(RowKernels(flat, "groupby"), Kernels{"gather"});
+  EXPECT_EQ(RowKernels(flat, "build"), Kernels{});
+
+  // On FoR storage the filters compare unpacked codes and the measures
+  // decode at the survivors: all of it is the decode row's, and the
+  // group-by gathers nothing.
+  ssb::SsbDatabase db = ssb::SsbDatabase::Generate(0.01);
+  ssb::ChunkedFactOptions options;
+  options.chunk_rows = 8192;
+  options.policy = storage::EncodingPolicy::kFor;
+  ssb::EnsureChunked(db, options);
+  const JsonValue for_add = HybridExplain(db, QueryId::kQ1_1, true);
+  EXPECT_EQ(RowKernels(for_add, "decode"),
+            (Kernels{"unpack_bits", "for_add"}));
+  EXPECT_EQ(RowKernels(for_add, "groupby"), Kernels{});
+
+  // Q2.1: the first join runs its Bloom filter and hash probe; the build
+  // calls no engine kernel.
+  const JsonValue join = HybridExplain(TestDb(), QueryId::kQ2_1, false);
+  const Kernels probe = RowKernels(join, "probe.partkey");
+  EXPECT_EQ(probe.count("bloom"), 1u);
+  EXPECT_EQ(probe.count("probe"), 1u);
+  EXPECT_EQ(RowKernels(join, "build"), Kernels{});
 }
 
 TEST(ExplainEndToEndTest, ErrorStatusCarriesTraceId) {

@@ -92,8 +92,8 @@ TEST(WorkflowTest, TuneCacheConfigureRunEndToEnd) {
   EXPECT_EQ(ApplyCache(cache_path, &config),
             "using cached tuning: probe " + probe.ToString() + ", gather " +
                 gather.ToString() + "\n");
-  EXPECT_EQ(config.probe_cfg, probe);
-  EXPECT_EQ(config.gather_cfg, gather);
+  EXPECT_EQ(config.points.probe, probe);
+  EXPECT_EQ(config.points.gather, gather);
 
   const ssb::SsbDatabase db = ssb::SsbDatabase::Generate(0.01, 99);
   SsbEngine engine(db, config);
@@ -119,11 +119,11 @@ TEST(WorkflowTest, OutOfGridCachedPointKeepsTheDefault) {
   }
   EngineConfig config;
   config.flavor = Flavor::kHybrid;
-  const HybridConfig default_probe = config.probe_cfg;
+  const HybridConfig default_probe = config.points.probe;
   EXPECT_EQ(ApplyCache(cache_path, &config),
             "using cached tuning: gather v2s0p1\n");
-  EXPECT_EQ(config.probe_cfg, default_probe);
-  EXPECT_EQ(config.gather_cfg, (HybridConfig{2, 0, 1}));
+  EXPECT_EQ(config.points.probe, default_probe);
+  EXPECT_EQ(config.points.gather, (HybridConfig{2, 0, 1}));
 
   const ssb::SsbDatabase db = ssb::SsbDatabase::Generate(0.01, 99);
   SsbEngine engine(db, config);
@@ -157,8 +157,8 @@ TEST(WorkflowTest, OutOfGridCachedPointKeepsTheDefault) {
     const std::string cfg_text = line.substr(9, line.find(' ', 9) - 9);
     EXPECT_NE(warning.find("line 4"), std::string::npos) << warning;
     EXPECT_NE(warning.find(cfg_text), std::string::npos) << warning;
-    EXPECT_EQ(loaded.probe_cfg, default_probe);
-    EXPECT_EQ(loaded.gather_cfg, (HybridConfig{2, 0, 1}));
+    EXPECT_EQ(loaded.points.probe, default_probe);
+    EXPECT_EQ(loaded.points.gather, (HybridConfig{2, 0, 1}));
   }
   std::remove(cache_path.c_str());
 }

@@ -237,9 +237,32 @@ TEST(KernelTable, SsbAliasesNameTableEntries) {
   EXPECT_EQ(aliases, 13);
 }
 
+TEST(KernelTable, EveryEngineKernelIsAnEntryRunInItsGrid) {
+  // Each kernel the engine calls is named as its table entry, and runs at
+  // a point that entry's runtime precompiled, on every flavour.
+  for (const Flavor flavor :
+       {Flavor::kScalar, Flavor::kSimd, Flavor::kHybrid}) {
+    EngineConfig config;
+    config.flavor = flavor;
+    for (const EngineKernel kernel : kEngineKernels) {
+      const KernelEntry& entry = FindKernel(EngineKernelName(kernel));
+      const HybridConfig point = config.PointFor(kernel);
+      EXPECT_NE(std::find(entry.grid.begin(), entry.grid.end(), point),
+                entry.grid.end())
+          << entry.name << " " << point.ToString() << " on "
+          << FlavorName(flavor);
+    }
+    // ChunkedColumn runs all three decode kernels at one point.
+    EXPECT_EQ(config.PointFor(EngineKernel::kForAdd),
+              config.PointFor(EngineKernel::kUnpackBits));
+    EXPECT_EQ(config.PointFor(EngineKernel::kDictGather),
+              config.PointFor(EngineKernel::kUnpackBits));
+  }
+}
+
 TEST(KernelTable, TunePersistsExactlyTheEngineFields) {
   // What `hef tune` persists is what the engine reads back: the entries
-  // with an engine field, and nothing else.
+  // TunedPoints can set, and nothing else.
   const std::string path =
       ::testing::TempDir() + "/hef_engine_points_cache.txt";
   KernelTuneOptions options;
@@ -252,14 +275,15 @@ TEST(KernelTable, TunePersistsExactlyTheEngineFields) {
   }
   TuningCache saved(path);
   ASSERT_TRUE(saved.Load().ok());
-  std::set<std::string> engine_fields;
+  std::set<std::string> settable;
+  TunedPoints points;
   for (const KernelEntry& entry : KernelTable()) {
-    EXPECT_EQ(saved.Contains(entry.name), entry.engine_field != nullptr)
-        << entry.name;
-    if (entry.engine_field != nullptr) engine_fields.insert(entry.name);
+    const bool found = points.Find(entry.name) != nullptr;
+    EXPECT_EQ(saved.Contains(entry.name), found) << entry.name;
+    if (found) settable.insert(entry.name);
   }
-  EXPECT_EQ(saved.size(), engine_fields.size());
-  EXPECT_EQ(engine_fields, (std::set<std::string>{"probe", "gather"}));
+  EXPECT_EQ(saved.size(), settable.size());
+  EXPECT_EQ(settable, (std::set<std::string>{"probe", "gather"}));
   std::remove(path.c_str());
 }
 

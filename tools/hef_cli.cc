@@ -26,7 +26,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -73,15 +72,6 @@
 
 namespace hef {
 namespace {
-
-// Hostile numbers are a usage error naming the flag, caught before any
-// database is built or thread started: the layers below abort on them.
-bool PositiveFinite(const char* flag, double value) {
-  if (value > 0 && std::isfinite(value)) return true;
-  std::fprintf(stderr, "--%s must be a positive finite number, got %g\n",
-               flag, value);
-  return false;
-}
 
 bool InRange(const char* flag, std::int64_t value, std::int64_t lo,
              std::int64_t hi) {
@@ -262,9 +252,8 @@ int CmdQuery(int argc, char** argv) {
                 storage.value().pruning ? "on" : "off");
   }
 
-  EngineConfig hybrid_cfg;
-  hybrid_cfg.flavor = Flavor::kHybrid;
-  ApplyTuningCache(flags.GetString("cache"), &hybrid_cfg, stdout);
+  EngineConfig cached;  // the points the tuning cache sets, if any
+  ApplyTuningCache(flags.GetString("cache"), &cached, stdout);
 
   telemetry::BenchReport report("hef_query");
   report.SetConfig("query", QueryName(query.value()));
@@ -314,40 +303,26 @@ int CmdQuery(int argc, char** argv) {
       return 1;
     }
   }
-  EngineConfig scalar_cfg;
-  scalar_cfg.flavor = Flavor::kScalar;
-  scalar_cfg.collect_stats = stats;
-  scalar_cfg.collect_pmu = stats;
-  scalar_cfg.threads = threads.value();
-  storage.value().ApplyTo(&scalar_cfg);
-  SsbEngine scalar_engine(db, scalar_cfg);
-  run("scalar", scalar_engine,
-      MakeExplainMeta(QueryName(query.value()), "scalar", scalar_cfg));
-  EngineConfig simd_cfg;
-  simd_cfg.flavor = Flavor::kSimd;
-  simd_cfg.collect_stats = stats;
-  simd_cfg.collect_pmu = stats;
-  simd_cfg.threads = threads.value();
-  storage.value().ApplyTo(&simd_cfg);
-  SsbEngine simd_engine(db, simd_cfg);
-  run("simd", simd_engine,
-      MakeExplainMeta(QueryName(query.value()), "simd", simd_cfg));
-  hybrid_cfg.collect_stats = stats;
-  hybrid_cfg.collect_pmu = stats;
-  hybrid_cfg.threads = threads.value();
-  storage.value().ApplyTo(&hybrid_cfg);
-  SsbEngine hybrid_engine(db, hybrid_cfg);
-  run("hybrid", hybrid_engine,
-      MakeExplainMeta(QueryName(query.value()), "hybrid", hybrid_cfg));
+  // The cached points apply to the hybrid flavour only (PointFor).
+  for (const Flavor flavor :
+       {Flavor::kScalar, Flavor::kSimd, Flavor::kHybrid}) {
+    EngineConfig cfg = cached;
+    cfg.flavor = flavor;
+    cfg.collect_stats = stats;
+    cfg.collect_pmu = stats;
+    cfg.threads = threads.value();
+    storage.value().ApplyTo(&cfg);
+    SsbEngine engine(db, cfg);
+    const char* name = FlavorName(flavor);
+    run(name, engine, MakeExplainMeta(QueryName(query.value()), name, cfg));
+  }
   VoilaConfig voila_cfg;
   voila_cfg.collect_stats = stats;
   voila_cfg.threads = threads.value();
   VoilaEngine voila(db, voila_cfg);
-  ExplainMeta voila_meta;
-  voila_meta.query = QueryName(query.value());
-  voila_meta.engine = "voila";
-  voila_meta.flavor = "voila";
-  run("voila", voila, voila_meta);
+  run("voila", voila,
+      {.query = QueryName(query.value()), .engine = "voila",
+       .flavor = "voila"});
   if (!profile_path.empty()) {
     telemetry::Profiler& profiler = telemetry::Profiler::Get();
     profiler.Stop();
